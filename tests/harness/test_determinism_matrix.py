@@ -111,3 +111,25 @@ def test_fast_kernel_payloads_match_pre_optimization_golden(constructor):
     payloads = _payloads(run_scenarios(scenarios, backend=SerialBackend()))
     digest = hashlib.sha256("\n".join(payloads).encode()).hexdigest()
     assert digest == GOLDEN_DIGESTS[constructor]
+
+
+#: sha256 of the JSON payload of Figure 4's Lstream/DTS/64-consumer point
+#: (seed 1, paper scale, about 0.4 s).  Five producer links run in lock
+#: step there: identical frames finish serializing at the same float
+#: instant and then draw the shared link-jitter stream in the order the
+#: links hand their wires to the next frame, so this point pins the
+#: grant order of the hop servers, which the small scenario sets above
+#: do not exercise.
+FIG4_LSTREAM_DTS_64_DIGEST = (
+    "712bb581735831a7a8a1b35d9cb39fb34a5bcb1b6a11a79e05779207bb33ea8c")
+
+
+def test_figure4_lockstep_point_matches_golden():
+    from repro.core.figures import figure4
+
+    data = figure4(workloads=("Lstream",), architectures=("DTS",),
+                   consumer_counts=(64,))
+    result = data.sweeps["Lstream"].get("DTS", 64)
+    payload = json.dumps(result.to_json_dict(), sort_keys=True)
+    digest = hashlib.sha256(payload.encode()).hexdigest()
+    assert digest == FIG4_LSTREAM_DTS_64_DIGEST
