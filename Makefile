@@ -22,7 +22,10 @@ lint:
 	$(PYTHON) -m repro.cli lint --self-test
 	$(PYTHON) -m repro.cli lint
 
-# Collection guard (micro benches through pytest, with or without the
+# The figure-regeneration benchmark at smoke scale (bench/run.py, about
+# 11 s): every workload's result digests, the infeasible set and the warm
+# cache hits are checked, and any mismatch fails the build.  Then the
+# collection guard (micro benches through pytest, with or without the
 # pytest-benchmark plugin) plus a fast pass of the dependency-free bench
 # suite compared against the committed BENCH_<n>.json trajectory.  The
 # compare skips gracefully when no snapshot exists yet and fails the build
@@ -30,6 +33,7 @@ lint:
 # median (calibration-scaled; snapshots from a different python/platform
 # only warn).
 bench-smoke:
+	$(PYTHON) bench/run.py --smoke --seconds 0
 	$(PYTHON) -m pytest benchmarks -q -k micro
 	$(PYTHON) -m repro.cli bench --rounds 5 --compare --threshold 0.2 --no-save
 

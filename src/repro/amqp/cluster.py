@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Callable, Generator, Optional
 
 from ..simkit import Environment, Monitor
+from ..netsim.link import Link
 from ..netsim.message import Message
 from ..netsim.network import Network
 from .broker import Broker
@@ -55,6 +56,8 @@ class BrokerCluster:
         self._queue_leaders: dict[str, Broker] = {}
         self._placement_cursor = 0
         self._client_cursor = 0
+        #: (src, dst) broker pair -> the links a relay crosses.
+        self._relay_links: dict[tuple[Broker, Broker], tuple[Link, ...]] = {}
 
     # -- membership -----------------------------------------------------------
     @property
@@ -183,6 +186,17 @@ class BrokerCluster:
                 self.monitor.count("rejected_broker_down", float(multiplicity))
 
     # -- data plane -----------------------------------------------------------
+    def _relay_route(self, src: Broker, dst: Broker) -> tuple[Link, ...]:
+        """The links a relay from ``src`` to ``dst`` crosses, routed once
+        per broker pair: the topology is fixed once the testbed is built,
+        and failover moves queue leaders, not links."""
+        links = self._relay_links.get((src, dst))
+        if links is None:
+            links = tuple(self.network.route(src.host.name,
+                                             dst.host.name).links)
+            self._relay_links[(src, dst)] = links
+        return links
+
     def _relay(self, src: Broker, dst: Broker, message: Message) -> Generator:
         """Move a message across the inter-broker (DSN to DSN) network.
 
@@ -193,9 +207,8 @@ class BrokerCluster:
         """
         if src is dst:
             return True
-        route = self.network.route(src.host.name, dst.host.name)
-        for element in route.links:
-            yield from element.traverse(message)
+        for link in self._relay_route(src, dst):
+            yield from link.traverse(message)
         if not dst.up:
             self.monitor.count("relay_failures", float(message.multiplicity))
             return False

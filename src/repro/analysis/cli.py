@@ -180,7 +180,9 @@ def check_fixture_corpus(fixtures_dir: str
     Per rule ``CODE``, ``<CODE>_positive.py`` must produce at least one
     ``CODE`` finding and ``<CODE>_negative.py`` must produce none; a
     missing fixture file is itself a failure, so new rules cannot land
-    without corpus coverage.
+    without corpus coverage.  Extra pairs for one facet of a rule,
+    ``<CODE>_<facet>_positive.py`` / ``<CODE>_<facet>_negative.py``, are
+    checked the same way.
 
     A fixture may carry ``# lint-fixture: rel_path=repro/simkit/core.py``
     to impersonate a path — needed by path-scoped rules (P002's hot-path
@@ -191,9 +193,17 @@ def check_fixture_corpus(fixtures_dir: str
                         f"(pass --fixtures DIR)")
     passed: list[str] = []
     failures: list[str] = []
+    listing = sorted(os.listdir(fixtures_dir))
     for rule in all_rules():
-        for polarity, want in (("positive", True), ("negative", False)):
-            name = f"{rule.code}_{polarity}.py"
+        stems = [rule.code] + [
+            match.group(1) for match in (
+                re.fullmatch(rf"({rule.code}_\w+)_positive\.py", name)
+                for name in listing) if match]
+        checks = [(stem, polarity, want) for stem in stems
+                  for polarity, want in (("positive", True),
+                                         ("negative", False))]
+        for stem, polarity, want in checks:
+            name = f"{stem}_{polarity}.py"
             path = os.path.join(fixtures_dir, name)
             if not os.path.isfile(path):
                 failures.append(f"{rule.code}: missing fixture {name}")
@@ -216,7 +226,7 @@ def check_fixture_corpus(fixtures_dir: str
                     f"{rule.code}: {name} produced unexpected finding(s): "
                     + "; ".join(f.render() for f in hits))
             else:
-                passed.append(f"{rule.code} {polarity}")
+                passed.append(f"{stem} {polarity}")
     return passed, failures
 
 

@@ -60,6 +60,10 @@ _ORDER_SENSITIVE_REDUCERS = frozenset({"sum", "fsum", "mean", "median",
 
 _ARITH_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Pow)
 
+#: ``uuid`` constructors that differ on every call: uuid4 draws OS
+#: entropy, uuid1 reads the clock and the host's MAC address.
+_ENTROPY_UUIDS = frozenset({"uuid1", "uuid4"})
+
 
 def _stdlib_random_aliases(source: SourceFile) -> set[str]:
     """Names the stdlib ``random`` module is bound to in this file."""
@@ -72,9 +76,27 @@ def _stdlib_random_aliases(source: SourceFile) -> set[str]:
     return aliases
 
 
+def _entropy_uuid_names(source: SourceFile) -> set[str]:
+    """Dotted call names that reach ``uuid.uuid1``/``uuid.uuid4`` here."""
+    names: set[str] = set()
+    for node in ast.walk(source.tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "uuid":
+                    names.update(f"{alias.asname or 'uuid'}.{func}"
+                                 for func in _ENTROPY_UUIDS)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module == "uuid":
+            names.update(alias.asname or alias.name for alias in node.names
+                         if alias.name in _ENTROPY_UUIDS)
+    return names
+
+
 def check_no_stdlib_random(source: SourceFile) -> Iterator[tuple[int, str]]:
-    """D001: the stdlib ``random`` module must not be used at all."""
+    """D001: neither the stdlib ``random`` module nor ``uuid.uuid1`` /
+    ``uuid.uuid4`` may be used at all."""
     aliases = _stdlib_random_aliases(source)
+    uuid_calls = _entropy_uuid_names(source)
     for node in ast.walk(source.tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -97,6 +119,11 @@ def check_no_stdlib_random(source: SourceFile) -> Iterator[tuple[int, str]]:
                        f"call to stdlib `{name}` draws from global, "
                        f"process-wide RNG state — parallel runs would "
                        f"diverge from serial")
+            elif name in uuid_calls:
+                yield (node.lineno,
+                       f"call to `{name}` returns a different id on every "
+                       f"run (OS entropy, or clock and MAC address); "
+                       f"derive ids from derive_seed instead")
 
 
 def check_derived_rng_seed(source: SourceFile) -> Iterator[tuple[int, str]]:
@@ -232,8 +259,9 @@ def check_sorted_listings(source: SourceFile) -> Iterator[tuple[int, str]]:
 
 register_rule(Rule(
     code="D001", name="no-stdlib-random", category="determinism",
-    rationale="stdlib random draws from hidden process-global state; "
-              "parallel workers would diverge from serial runs",
+    rationale="stdlib random draws from hidden process-global state, and "
+              "uuid1/uuid4 from entropy or the clock; parallel workers "
+              "would diverge from serial runs",
     check=check_no_stdlib_random))
 
 register_rule(Rule(

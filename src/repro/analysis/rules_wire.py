@@ -49,6 +49,7 @@ HOT_PATH_SLOTS_CLASSES = (
     ("simkit/core.py", "Process"),
     ("simkit/core.py", "Condition"),
     ("simkit/core.py", "Environment"),
+    ("simkit/resources.py", "HandoffServer"),
     ("simkit/monitor.py", "Counter"),
     ("simkit/monitor.py", "TimeSeries"),
     ("simkit/rand.py", "BatchedUniform"),

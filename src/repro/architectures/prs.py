@@ -68,10 +68,12 @@ class PRSArchitecture(StreamingArchitecture):
         testbed = self.testbed
         self.producer_s2cs = S2CS(self.env, "prod-s2cs", testbed.producer_gateway,
                                   side="producer", server_cert="prod-s2cs.crt",
-                                  default_bandwidth_bps=testbed.config.link_bandwidth_bps)
+                                  default_bandwidth_bps=testbed.config.link_bandwidth_bps,
+                                  uid_seed=testbed.config.seed)
         self.consumer_s2cs = S2CS(self.env, "cons-s2cs", testbed.consumer_gateway,
                                   side="consumer", server_cert="cons-s2cs.crt",
-                                  default_bandwidth_bps=testbed.config.link_bandwidth_bps)
+                                  default_bandwidth_bps=testbed.config.link_bandwidth_bps,
+                                  uid_seed=testbed.config.seed)
         # The proof-of-concept exposes each S2CS via a NodePort (§4.4) and
         # needs one firewall pinhole per gateway for the tunnel/control ports.
         facility = testbed.hpc_facility

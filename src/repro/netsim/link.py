@@ -20,7 +20,7 @@ from typing import Generator, Optional
 
 import numpy as np
 
-from ..simkit import BatchedUniform, Environment, Monitor, Resource
+from ..simkit import BatchedUniform, Environment, HandoffServer, Monitor
 from .message import HopRecord, Message
 from .units import transmission_time
 
@@ -51,8 +51,8 @@ class Link:
         self._messages_counter = self.monitor.counter("messages")
         self._bytes_counter = self.monitor.counter("bytes")
         self._queueing_series = self.monitor.timeseries("queueing_delay")
-        #: Serialization resource: one frame on the wire at a time.
-        self._wire = Resource(env, capacity=1)
+        #: Serialization server: one frame on the wire at a time.
+        self._wire = HandoffServer(env, capacity=1)
         self._busy_time = 0.0
         #: Fault-injection state (see :mod:`repro.faults`): the link is
         #: down until this simulated time (0 = up), and serialization is
@@ -85,31 +85,40 @@ class Link:
         K frames pipelined behind each other.  Multiplicity 1 is
         bit-identical to the historical per-message accounting.
         """
-        arrived = self.env.now
+        env = self.env
+        arrived = env.now
         multiplicity = message.multiplicity
-        if self.down_until > self.env.now:
+        if self.down_until > arrived:
             # Link-flap outage: frames wait for the link to come back
             # before contending for the wire (guarded so fault-free runs
             # schedule no extra event).
-            yield self.env.timeout(self.down_until - self.env.now)
-        with self._wire.request() as grant:
-            yield grant
-            tx = (self.serialization_delay(message.wire_bytes)
-                  * multiplicity * self.slowdown)
-            self._busy_time += tx
-            yield self.env.timeout(tx)
-        yield self.env.timeout(self.propagation_delay())
-        departed = self.env.now
+            yield env.timeout(self.down_until - arrived)
+        wire = self._wire
+        yield wire.acquire(self._serialize, message)
+        # Schedule propagation before handing the wire on: with a Resource
+        # wire, the next frame's serialization timeout was created after
+        # it (at the next frame's grant), so equal-time ties keep order.
+        propagated = env.timeout(self.propagation_delay())
+        wire.release()
+        yield propagated
+        departed = env.now
         message.hops.append(HopRecord(self.name, "link", arrived, departed))
         self._messages_counter.value += float(multiplicity)
         self._bytes_counter.value += message.wire_bytes * multiplicity
         self._queueing_series.record(arrived, departed - arrived)
 
+    def _serialize(self, message: Message) -> float:
+        """Wire time of ``message``, read when the wire is granted to it."""
+        tx = (self.serialization_delay(message.wire_bytes)
+              * message.multiplicity * self.slowdown)
+        self._busy_time += tx
+        return tx
+
     # -- reporting -----------------------------------------------------------
     @property
     def queue_length(self) -> int:
         """Messages currently waiting to be serialized."""
-        return len(self._wire.queue)
+        return self._wire.queue_length
 
     def utilization(self, over_seconds: Optional[float] = None) -> float:
         """Fraction of (simulated) time the wire was busy."""

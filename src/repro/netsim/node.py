@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
-from ..simkit import Environment, Monitor, Resource
+from ..simkit import Environment, HandoffServer, Monitor
 from .message import HopRecord, Message
 from .tls import NULL_TLS, TLSProfile
 
@@ -58,7 +58,7 @@ class NetworkNode:
         self._messages_counter = self.monitor.counter("messages")
         self._bytes_counter = self.monitor.counter("bytes")
         self._service_series = self.monitor.timeseries("service_delay")
-        self._cpu = Resource(env, capacity=max(1, self.spec.concurrency))
+        self._cpu = HandoffServer(env, capacity=max(1, self.spec.concurrency))
         self._busy_time = 0.0
 
     # -- behaviour -----------------------------------------------------------
@@ -79,25 +79,29 @@ class NetworkNode:
         """
         arrived = self.env.now
         multiplicity = message.multiplicity
-        with self._cpu.request() as grant:
-            yield grant
-            cost = self.service_time(message, tls) * multiplicity
-            self._busy_time += cost
-            yield self.env.timeout(cost)
+        cpu = self._cpu
+        yield cpu.acquire(self._serve, message, tls)
+        cpu.release()
         departed = self.env.now
         message.hops.append(HopRecord(self.name, self.role, arrived, departed))
         self._messages_counter.value += float(multiplicity)
         self._bytes_counter.value += message.wire_bytes * multiplicity
         self._service_series.record(arrived, departed - arrived)
 
+    def _serve(self, message: Message, tls: TLSProfile) -> float:
+        """CPU time of ``message``, computed when a unit is granted to it."""
+        cost = self.service_time(message, tls) * message.multiplicity
+        self._busy_time += cost
+        return cost
+
     # -- reporting -----------------------------------------------------------
     @property
     def queue_length(self) -> int:
-        return len(self._cpu.queue)
+        return self._cpu.queue_length
 
     @property
     def in_service(self) -> int:
-        return self._cpu.count
+        return self._cpu.busy
 
     def utilization(self, over_seconds: Optional[float] = None) -> float:
         horizon = over_seconds if over_seconds is not None else self.env.now

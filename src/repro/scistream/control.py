@@ -16,8 +16,9 @@ These dataclasses model the protocol messages and the resulting
 from __future__ import annotations
 
 import itertools
-import uuid
 from dataclasses import dataclass, field
+
+from ..simkit.rand import derive_seed
 
 __all__ = [
     "StreamRequest",
@@ -29,9 +30,11 @@ __all__ = [
 _request_ids = itertools.count(1)
 
 
-def new_uid() -> str:
-    """Generate the unique identifier returned by an inbound request."""
-    return uuid.uuid4().hex[:16]
+def new_uid(root_seed: int, *names: str | int) -> str:
+    """The unique identifier returned by an inbound request: 16 hex
+    characters derived from the run's root seed and the issuer's path
+    (``derive_seed``), so a run issues the same UIDs on every backend."""
+    return f"{derive_seed(root_seed, 'scistream-uid', *names):016x}"
 
 
 @dataclass(frozen=True)

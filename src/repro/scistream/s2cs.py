@@ -41,6 +41,7 @@ class S2CS:
     def __init__(self, env: Environment, name: str, gateway: NetworkNode, *,
                  side: str, server_cert: str,
                  default_bandwidth_bps: float = 1e9,
+                 uid_seed: int = 0,
                  monitor: Optional[Monitor] = None) -> None:
         if side not in ("producer", "consumer"):
             raise ValueError("side must be 'producer' or 'consumer'")
@@ -52,6 +53,9 @@ class S2CS:
         self.default_bandwidth_bps = default_bandwidth_bps
         self.monitor = monitor or Monitor(f"s2cs:{name}")
         self._next_port = STREAM_PORT_RANGE[0]
+        #: Root seed of the UIDs this server issues, and how many it has.
+        self.uid_seed = uid_seed
+        self._uids_issued = 0
         self.data_servers: dict[str, S2DS] = {}
         self.started = False
 
@@ -89,7 +93,10 @@ class S2CS:
                 f"got {request.server_cert!r}")
         yield self.env.timeout(self.request_latency_s)
 
-        uid = request.uid or new_uid()
+        uid = request.uid
+        if not uid:
+            uid = new_uid(self.uid_seed, self.name, self._uids_issued)
+            self._uids_issued += 1
         ports = self._allocate_ports(max(1, request.num_connections))
         yield self.env.timeout(self.proxy_launch_latency_s)
         proxy = make_proxy(proxy_type, self.env, f"s2ds-{self.side}-{uid[:6]}",

@@ -26,6 +26,7 @@ from .rand import BatchedUniform, RandomStreams, derive_seed
 from .resources import (
     Container,
     FilterStore,
+    HandoffServer,
     PriorityResource,
     Resource,
     Store,
@@ -45,6 +46,7 @@ __all__ = [
     "ResourceError",
     "Resource",
     "PriorityResource",
+    "HandoffServer",
     "Container",
     "Store",
     "FilterStore",

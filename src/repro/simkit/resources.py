@@ -5,6 +5,10 @@ These model the contention points in the streaming system:
 * :class:`Resource` — a counted resource with FIFO queuing.  Used for
   connection slots on proxies, broker channel concurrency, CPU slots on
   load balancers / ingress controllers.
+* :class:`HandoffServer` — a FIFO c-server whose service time is known at
+  grant.  A finishing job hands its server straight to the next waiter, so
+  a job costs one event and no request objects.  Used for link wires and
+  host CPUs.
 * :class:`PriorityResource` — same, but requests carry a priority (control
   traffic can pre-empt queue position over bulk data).
 * :class:`Container` — a continuous quantity (bytes of queue memory).
@@ -21,7 +25,7 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Optional
 
-from .core import Environment, Event
+from .core import NORMAL, Environment, Event
 from .errors import ResourceError
 
 __all__ = [
@@ -29,6 +33,7 @@ __all__ = [
     "Release",
     "Resource",
     "PriorityResource",
+    "HandoffServer",
     "Container",
     "Store",
     "FilterStore",
@@ -190,6 +195,79 @@ class PriorityResource(Resource):
                 continue
             self.users.append(nxt)
             nxt.succeed()
+
+
+class HandoffServer:
+    """A FIFO server with ``capacity`` identical units for jobs whose
+    service time is known when they are granted.
+
+    ``acquire(cost_fn, *args)`` returns the event the job waits on until
+    its service is over.  With a unit free, that is ``env.timeout(cost)``
+    where ``cost = cost_fn(*args)``.  Otherwise it is a pending event
+    queued FIFO.  The job calls :meth:`release` once its event has fired.
+    Release hands the unit straight to the oldest waiter: it evaluates
+    that waiter's ``cost_fn`` at that moment and schedules the waiter's
+    event ``cost`` after now.  So a job costs one event, where a
+    :class:`Resource` costs a request, a grant and the service timeout.
+
+    Scheduling at release, not at arrival, keeps a :class:`Resource`
+    traversal's order: waiters start in release order, and each cost is
+    computed at grant time, so state that ``cost_fn`` reads (a link's
+    slowdown, say) is read when the unit is handed over.
+
+    A queued job cannot be withdrawn: interrupting a process that waits
+    on :meth:`acquire` is not supported.
+    """
+
+    __slots__ = ("env", "capacity", "busy", "_waiters")
+
+    def __init__(self, env: Environment, capacity: int = 1) -> None:
+        if capacity <= 0:
+            raise ValueError("capacity must be positive")
+        self.env = env
+        self.capacity = int(capacity)
+        #: Units currently serving a job.
+        self.busy = 0
+        self._waiters: deque[tuple[Event, Callable[..., float], tuple]] = (
+            deque())
+
+    @property
+    def queue_length(self) -> int:
+        """Jobs waiting for a unit."""
+        return len(self._waiters)
+
+    def acquire(self, cost_fn: Callable[..., float], *args: Any) -> Event:
+        """The event that fires when this job's service is over."""
+        if self.busy < self.capacity:
+            self.busy += 1
+            return self.env.timeout(cost_fn(*args))
+        event = Event(self.env)
+        self._waiters.append((event, cost_fn, args))
+        return event
+
+    def release(self) -> None:
+        """Free the caller's unit, or hand it to the oldest waiter."""
+        waiters = self._waiters
+        if not waiters:
+            self.busy -= 1
+            return
+        event, cost_fn, args = waiters.popleft()
+        cost = cost_fn(*args)
+        env = self.env
+        event._ok = True
+        event._value = None
+        # Inlined Environment._schedule(event, NORMAL, cost), exactly as
+        # Timeout schedules itself.
+        eid = env._eid
+        env._eid = eid + 1
+        if cost:
+            heapq.heappush(env._queue, (env._now + cost, NORMAL, eid, event))
+        else:
+            env._lane_normal.append((eid, event))
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (f"<HandoffServer busy={self.busy}/{self.capacity} "
+                f"queued={len(self._waiters)}>")
 
 
 class ContainerPut(Event):

@@ -186,6 +186,34 @@ def test_cluster_publish_relays_to_leader():
     assert any("dsn1->dsn2" == hop.element for hop in message.hops)
 
 
+def test_cluster_routes_each_relay_pair_once(monkeypatch):
+    env = Environment()
+    net, brokers, cluster = build_cluster(env)
+    routed = []
+    route = Network.route
+
+    def counting_route(self, src, dst):
+        routed.append((src, dst))
+        return route(self, src, dst)
+
+    monkeypatch.setattr(Network, "route", counting_route)
+    cluster.declare_queue("q1", leader=brokers[1])
+    cluster.declare_queue("q2", leader=brokers[2])
+    messages = [msg(key=key) for key in ("q1", "q2") * 3]
+
+    def proc(env):
+        for message in messages:
+            yield from cluster.publish(brokers[0], message, "",
+                                       message.routing_key)
+
+    env.run(until=env.process(proc(env)))
+    assert cluster.monitor.counter("interbroker_messages").value == 6
+    assert routed == [("dsn1", "dsn2"), ("dsn1", "dsn3")]
+    # Every relay still crosses the routed link.
+    assert [hop.element for message in messages for hop in message.hops
+            if hop.kind == "link"] == ["dsn1->dsn2", "dsn1->dsn3"] * 3
+
+
 def test_cluster_publish_local_leader_has_no_relay():
     env = Environment()
     _, brokers, cluster = build_cluster(env)

@@ -44,7 +44,18 @@ def test_negative_fixture_stays_clean(rule):
 def test_corpus_runner_agrees_with_pytest():
     passed, failures = check_fixture_corpus(str(FIXTURES))
     assert failures == []
-    assert len(passed) == 2 * len(RULES)
+    # One check per fixture file: each rule's pair plus its facet pairs.
+    fixtures = [*FIXTURES.glob("*_positive.py"),
+                *FIXTURES.glob("*_negative.py")]
+    assert len(passed) == len(fixtures) >= 2 * len(RULES)
+
+
+def test_uuid_facet_of_d001_flags_every_entropy_uuid_call():
+    rule = get_rule("D001")
+    findings = analyze_source(load_fixture("D001_uuid_positive.py"), [rule])
+    assert [f.line for f in findings] == [7, 11]
+    assert all("uuid" in f.message for f in findings)
+    assert analyze_source(load_fixture("D001_uuid_negative.py"), [rule]) == []
 
 
 def test_corpus_runner_reports_a_stubbed_rule(tmp_path):

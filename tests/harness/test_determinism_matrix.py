@@ -20,6 +20,7 @@ from repro.harness import (
     ProcessPoolBackend,
     ScenarioSet,
     SerialBackend,
+    Session,
     ThreadPoolBackend,
     run_scenarios,
 )
@@ -133,3 +134,25 @@ def test_figure4_lockstep_point_matches_golden():
     payload = json.dumps(result.to_json_dict(), sort_keys=True)
     digest = hashlib.sha256(payload.encode()).hexdigest()
     assert digest == FIG4_LSTREAM_DTS_64_DIGEST
+
+
+def test_stunnel_infeasible_reason_is_identical_across_runs_and_backends():
+    """The PRS(Stunnel)@32 reason quotes the producer proxy's name, which
+    is built from the SciStream session UID: the UID derives from the
+    point's seed, so the text is the same on every run and backend."""
+    base = tiny_config(architecture="PRS(Stunnel)", num_producers=32,
+                       num_consumers=32,
+                       testbed=TestbedConfig(producer_nodes=16,
+                                             consumer_nodes=16))
+    scenarios = ScenarioSet.product(base, {"seed": [1, 2]})
+
+    def reasons(**backend):
+        with Session(**backend) as session:
+            return [outcome.result.infeasible_reason
+                    for outcome in session.run(scenarios)]
+
+    serial = reasons(backend="serial")
+    assert all("s2ds-producer-" in reason for reason in serial)
+    assert serial[0] != serial[1]  # the UID follows the seed
+    assert reasons(backend="serial") == serial
+    assert reasons(backend="process", jobs=2) == serial

@@ -51,7 +51,15 @@ def test_stream_request_validation():
 
 
 def test_new_uid_unique():
-    assert new_uid() != new_uid()
+    uids = {new_uid(seed, issuer, n) for seed in (1, 2)
+            for issuer in ("prod-s2cs", "cons-s2cs") for n in range(3)}
+    assert len(uids) == 12
+    assert all(len(uid) == 16 and int(uid, 16) >= 0 for uid in uids)
+
+
+def test_new_uid_is_a_function_of_seed_and_issuer():
+    assert new_uid(7, "cons-s2cs", 0) == new_uid(7, "cons-s2cs", 0)
+    assert new_uid(7, "cons-s2cs", 0) != new_uid(8, "cons-s2cs", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +252,31 @@ def test_s2uc_establishes_full_session():
     assert described["producer_gateway"] == "gn-prod"
     assert described["consumer_gateway"] == "gn-cons"
     assert s2uc.sessions[session.uid] is session
+
+
+def test_s2cs_issues_distinct_seeded_uids():
+    def issue(seed):
+        env = Environment()
+        _, cons_s2cs = build_control_plane(env)
+        cons_s2cs.uid_seed = seed
+        request = StreamRequest(direction="inbound",
+                                server_cert="cons-s2cs.crt",
+                                remote_ip="10.1.1.100",
+                                s2cs_address="gn-cons:30600",
+                                receiver_ports=(5672,))
+
+        def proc(env):
+            first = yield from cons_s2cs.handle_request(request)
+            second = yield from cons_s2cs.handle_request(request)
+            return first.uid, second.uid
+
+        return env.run(until=env.process(proc(env)))
+
+    first, second = issue(3)
+    assert first != second
+    assert (first, second) == issue(3)
+    assert first == new_uid(3, "cons-s2cs", 0)
+    assert issue(4) != (first, second)
 
 
 def test_s2uc_stunnel_session_respects_connection_cap():
