@@ -252,18 +252,9 @@ class HandoffServer:
             self.busy -= 1
             return
         event, cost_fn, args = waiters.popleft()
-        cost = cost_fn(*args)
-        env = self.env
         event._ok = True
         event._value = None
-        # Inlined Environment._schedule(event, NORMAL, cost), exactly as
-        # Timeout schedules itself.
-        eid = env._eid
-        env._eid = eid + 1
-        if cost:
-            heapq.heappush(env._queue, (env._now + cost, NORMAL, eid, event))
-        else:
-            env._lane_normal.append((eid, event))
+        self.env._schedule(event, NORMAL, cost_fn(*args))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<HandoffServer busy={self.busy}/{self.capacity} "
