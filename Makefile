@@ -126,7 +126,7 @@ cache-smoke:
 		--consumers 1 2 --messages 4 --cache $(CACHE_SMOKE_CACHE)
 	@rm -rf $(CACHE_SMOKE_CACHE)
 
-check: lint test bench-smoke sensitivity-smoke session-smoke \
+check: lint test bench-smoke example sensitivity-smoke session-smoke \
 	population-smoke cache-smoke chaos-smoke
 
 # Coverage gate over the harness (runner/cache/sweep/policy are the layers
@@ -141,5 +141,11 @@ coverage:
 		     "(pip install pytest-cov, then re-run make coverage)"; \
 	fi
 
+# Run every script in examples/ (about 10 s): they drive the public
+# Session / ConsumerSweep / compare_architectures API end to end, so an
+# API change that breaks a documented usage fails the build.
 example:
-	$(PYTHON) examples/parallel_sweep.py
+	@set -e; for script in examples/*.py; do \
+		echo "[example] $$script"; \
+		$(PYTHON) $$script > /dev/null; \
+	done

@@ -114,8 +114,8 @@ def test_bench_scenario_runner_serial(benchmark):
             architecture="DTS", workload="Dstream", pattern="work_sharing",
             num_producers=2, num_consumers=2, messages_per_producer=10,
             testbed=TestbedConfig(producer_nodes=4, consumer_nodes=4))
-        scenarios = ScenarioSet.grid(base, architectures=["DTS", "MSS"],
-                                     consumer_counts=[1, 2])
+        scenarios = ScenarioSet.product(base, {
+            "architecture": ["DTS", "MSS"], "consumers": [1, 2]})
         return run_scenarios(scenarios)
 
     outcomes = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=0)
@@ -125,16 +125,22 @@ def test_bench_scenario_runner_serial(benchmark):
 
 def test_bench_scenario_runner_process_pool(benchmark):
     """The same 4 points fanned out over a 2-worker process pool."""
-    from repro.harness import ProcessPoolBackend, ScenarioSet, run_scenarios
+    from repro.harness import (
+        ProcessPoolBackend,
+        ScenarioSet,
+        Session,
+        run_scenarios,
+    )
 
     def run():
         base = ExperimentConfig(
             architecture="DTS", workload="Dstream", pattern="work_sharing",
             num_producers=2, num_consumers=2, messages_per_producer=10,
             testbed=TestbedConfig(producer_nodes=4, consumer_nodes=4))
-        scenarios = ScenarioSet.grid(base, architectures=["DTS", "MSS"],
-                                     consumer_counts=[1, 2])
-        return run_scenarios(scenarios, backend=ProcessPoolBackend(2, chunksize=1))
+        scenarios = ScenarioSet.product(base, {
+            "architecture": ["DTS", "MSS"], "consumers": [1, 2]})
+        pool = ProcessPoolBackend(2, chunksize=1)
+        return run_scenarios(scenarios, session=Session(backend=pool))
 
     outcomes = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
     assert len(outcomes) == 4

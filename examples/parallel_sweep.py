@@ -95,7 +95,7 @@ def main() -> None:
           f"matches clean run: {guarded.rows() == serial.rows()}")
 
     # The CLI builds its session the same way, from the environment:
-    # REPRO_JOBS=4 REPRO_BACKEND=thread python examples/parallel_sweep.py
+    # REPRO_JOBS=4 REPRO_BACKEND=process python examples/parallel_sweep.py
     env_session = Session.from_env()
     print(f"session from environment: {env_session.describe()}")
 

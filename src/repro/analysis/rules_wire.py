@@ -37,7 +37,6 @@ WIRE_CLASSES = frozenset({
     "Session",
     "SerialBackend",
     "ProcessPoolBackend",
-    "ThreadPoolBackend",
 })
 
 #: (file suffix, class name) pairs that must stay ``__slots__`` classes:

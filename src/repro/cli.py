@@ -31,12 +31,13 @@ under ``<cache>/.profiles/``.
 Every experiment-running subcommand builds one execution
 :class:`~repro.harness.session.Session` from a shared option block —
 ``--jobs N`` (fan points out over workers, bit-identical to serial for the
-same seed), ``--backend serial|process|thread`` (named registry backends),
-``--cache PATH`` (sharded JSON result cache reused across invocations;
-entries written by older code are auto-invalidated unless ``--allow-stale``;
-pre-sharding single-file caches migrate automatically), and ``--timeout S``
-/ ``--retries N`` / ``--on-error raise|skip|record`` to bound each point's
-wall-clock time and decide what a point that exhausts its attempts becomes.
+same seed), ``--backend serial|process`` (named registry backends),
+``--cache PATH`` (sharded JSON result-cache directory reused across
+invocations; entries written by older code are auto-invalidated unless
+``--allow-stale``; a path that is a regular file is refused), and
+``--timeout S`` / ``--retries N`` / ``--on-error raise|skip|record`` to
+bound each point's wall-clock time and decide what a point that exhausts
+its attempts becomes.
 Options left unset fall back to ``REPRO_JOBS``/``REPRO_BACKEND``/
 ``REPRO_CACHE``/... environment variables (see
 :meth:`~repro.harness.session.Session.from_env`), so scripted and
@@ -156,7 +157,7 @@ def _execution_options() -> argparse.ArgumentParser:
         "--cache", default=None, metavar="PATH",
         help="sharded JSON result cache directory; already-computed points "
              "are reused and fresh ones are persisted incrementally as "
-             "they complete (old single-file caches are migrated)")
+             "they complete (a path that is a regular file is refused)")
     group.add_argument(
         "--allow-stale", action="store_true",
         help="serve cache entries written by a different version of the "

@@ -21,7 +21,7 @@ Figure index
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -29,9 +29,6 @@ from ..architectures import TestbedConfig
 from ..faults import FAULT_AXES, FaultPlan
 from ..harness import (
     PAPER_CONSUMER_COUNTS,
-    ConsumerSweep,
-    ExecutionBackend,
-    ExecutionPolicy,
     ExperimentConfig,
     ScenarioSet,
     Session,
@@ -42,9 +39,6 @@ from ..harness import (
 )
 from ..metrics import empirical_cdf, overhead_table
 from .study import BASELINE_ARCHITECTURE, PAPER_ARCHITECTURES
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..harness import ResultCache
 
 __all__ = [
     "FigureData",
@@ -112,37 +106,24 @@ def _base_config(workload: str, pattern: str, *, messages_per_producer: int,
     )
 
 
-def _sweep(workload: str, pattern: str, architectures: Sequence[str],
-           consumer_counts: Iterable[int], *, session: Session,
-           messages_per_producer: int, runs: int, seed: int,
-           testbed: Optional[TestbedConfig],
-           equal_producers: bool = True, **overrides) -> SweepResult:
-    base = _base_config(workload, pattern, messages_per_producer=messages_per_producer,
-                        runs=runs, seed=seed, testbed=testbed, **overrides)
-    sweep = ConsumerSweep(base, architectures=architectures,
-                          consumer_counts=consumer_counts,
-                          equal_producers=equal_producers)
-    return sweep.run(session=session)
-
-
 def _sweep_grid(workloads: Sequence[str], patterns: Sequence[str],
                 architectures: Sequence[str], consumer_counts: Iterable[int],
                 *, session: Session, messages_per_producer: int, runs: int,
                 seed: int, testbed: Optional[TestbedConfig],
-                equal_producers: bool = True,
-                **overrides) -> dict[tuple[str, str], SweepResult]:
+                equal_producers: bool = True
+                ) -> dict[tuple[str, str], SweepResult]:
     """Sweeps for every (workload, pattern) cell, executed as ONE scenario
     grid so a parallel session fans out across all of a figure's points,
     not just within one sweep."""
     consumer_counts = tuple(consumer_counts)
     base = _base_config(workloads[0], patterns[0],
                         messages_per_producer=messages_per_producer,
-                        runs=runs, seed=seed, testbed=testbed, **overrides)
-    scenarios = ScenarioSet.grid(base, architectures=list(architectures),
-                                 workloads=list(workloads),
-                                 patterns=list(patterns),
-                                 consumer_counts=consumer_counts,
-                                 equal_producers=equal_producers)
+                        runs=runs, seed=seed, testbed=testbed)
+    scenarios = ScenarioSet.product(
+        base, {"architecture": list(architectures),
+               "workload": list(workloads), "pattern": list(patterns),
+               "consumers": consumer_counts},
+        equal_producers=equal_producers)
     sweeps: dict[tuple[str, str], SweepResult] = {}
     for workload in workloads:
         for pattern in patterns:
@@ -187,14 +168,8 @@ def figure4(*, workloads: Sequence[str] = ("Dstream", "Lstream"),
             messages_per_producer: int = 20,
             runs: int = 1, seed: int = 1,
             testbed: Optional[TestbedConfig] = None,
-            session: Optional[Session] = None,
-            jobs: Optional[int] = None,
-            backend: Optional[ExecutionBackend] = None,
-            cache: Optional["ResultCache"] = None,
-            policy: Optional[ExecutionPolicy] = None) -> FigureData:
+            session: Optional[Session] = None) -> FigureData:
     """Throughput (msgs/s) under the work sharing pattern (Figure 4)."""
-    session = Session.resolve(session, backend=backend, jobs=jobs,
-                              cache=cache, policy=policy, where="figure4")
     data = FigureData(
         figure="figure4",
         description="Aggregate consumer throughput vs consumer count, "
@@ -220,14 +195,8 @@ def figure6(*, workloads: Sequence[str] = ("Dstream", "Lstream"),
             messages_per_producer: int = 15,
             runs: int = 1, seed: int = 1,
             testbed: Optional[TestbedConfig] = None,
-            session: Optional[Session] = None,
-            jobs: Optional[int] = None,
-            backend: Optional[ExecutionBackend] = None,
-            cache: Optional["ResultCache"] = None,
-            policy: Optional[ExecutionPolicy] = None) -> FigureData:
+            session: Optional[Session] = None) -> FigureData:
     """Median RTT under work sharing with feedback (Figure 6)."""
-    session = Session.resolve(session, backend=backend, jobs=jobs,
-                              cache=cache, policy=policy, where="figure6")
     data = FigureData(
         figure="figure6",
         description="Median per-message RTT vs consumer count, "
@@ -249,14 +218,8 @@ def figure5(*, workloads: Sequence[str] = ("Dstream", "Lstream"),
             messages_per_producer: int = 15,
             runs: int = 1, seed: int = 1, cdf_points: int = 100,
             testbed: Optional[TestbedConfig] = None,
-            session: Optional[Session] = None,
-            jobs: Optional[int] = None,
-            backend: Optional[ExecutionBackend] = None,
-            cache: Optional["ResultCache"] = None,
-            policy: Optional[ExecutionPolicy] = None) -> FigureData:
+            session: Optional[Session] = None) -> FigureData:
     """CDFs of per-message RTT under work sharing with feedback (Figure 5)."""
-    session = Session.resolve(session, backend=backend, jobs=jobs,
-                              cache=cache, policy=policy, where="figure5")
     consumer_counts = tuple(consumer_counts)
     data = figure6(workloads=workloads, architectures=architectures,
                    consumer_counts=consumer_counts,
@@ -279,14 +242,8 @@ def figure7(*, architectures: Sequence[str] = BROADCAST_ARCHITECTURES,
             messages_per_producer: int = 6,
             runs: int = 1, seed: int = 1,
             testbed: Optional[TestbedConfig] = None,
-            session: Optional[Session] = None,
-            jobs: Optional[int] = None,
-            backend: Optional[ExecutionBackend] = None,
-            cache: Optional["ResultCache"] = None,
-            policy: Optional[ExecutionPolicy] = None) -> FigureData:
+            session: Optional[Session] = None) -> FigureData:
     """Broadcast throughput and broadcast+gather median RTT (Figure 7)."""
-    session = Session.resolve(session, backend=backend, jobs=jobs,
-                              cache=cache, policy=policy, where="figure7")
     data = FigureData(
         figure="figure7",
         description="(a) broadcast throughput and (b) broadcast+gather median "
@@ -313,23 +270,18 @@ def figure8(*, architectures: Sequence[str] = BROADCAST_ARCHITECTURES,
             messages_per_producer: int = 6,
             runs: int = 1, seed: int = 1, cdf_points: int = 100,
             testbed: Optional[TestbedConfig] = None,
-            session: Optional[Session] = None,
-            jobs: Optional[int] = None,
-            backend: Optional[ExecutionBackend] = None,
-            cache: Optional["ResultCache"] = None,
-            policy: Optional[ExecutionPolicy] = None) -> FigureData:
+            session: Optional[Session] = None) -> FigureData:
     """CDFs of per-message RTT under broadcast and gather (Figure 8)."""
-    session = Session.resolve(session, backend=backend, jobs=jobs,
-                              cache=cache, policy=policy, where="figure8")
     consumer_counts = tuple(consumer_counts)
     data = FigureData(
         figure="figure8",
         description="CDF of individual message RTTs, broadcast and gather "
                     "(generic workload), 1-64 consumers")
-    sweep = _sweep("Generic", "broadcast_gather", architectures, consumer_counts,
-                   session=session,
-                   messages_per_producer=messages_per_producer, runs=runs,
-                   seed=seed, testbed=testbed, equal_producers=False)
+    [sweep] = _sweep_grid(["Generic"], ["broadcast_gather"], architectures,
+                          consumer_counts, session=session,
+                          messages_per_producer=messages_per_producer,
+                          runs=runs, seed=seed, testbed=testbed,
+                          equal_producers=False).values()
     data.sweeps["Generic"] = sweep
     data.cdfs["Generic"] = _collect_cdfs(sweep, consumer_counts, cdf_points)
     data.rows.extend(sweep.rows("median_rtt_s"))
@@ -348,12 +300,7 @@ def figure_bandwidth_scaling(*, workload: str = "Lstream",
                              runs: int = 1, seed: int = 1,
                              testbed: Optional[TestbedConfig] = None,
                              scale_backbone: bool = True,
-                             session: Optional[Session] = None,
-                             jobs: Optional[int] = None,
-                             backend: Optional[ExecutionBackend] = None,
-                             cache: Optional["ResultCache"] = None,
-                             policy: Optional[ExecutionPolicy] = None
-                             ) -> FigureData:
+                             session: Optional[Session] = None) -> FigureData:
     """Throughput vs access-link bandwidth (the §6 1-vs-100 Gbps discussion).
 
     Every headline number in the paper sits at the testbed's 1 Gbps
@@ -365,9 +312,6 @@ def figure_bandwidth_scaling(*, workload: str = "Lstream",
     links (via :meth:`TestbedConfig.with_link_bandwidth`) so the sweep
     changes the operating point, not the topology shape.
     """
-    session = Session.resolve(session, backend=backend, jobs=jobs,
-                              cache=cache, policy=policy,
-                              where="figure_bandwidth_scaling")
     base = _base_config(workload, "work_sharing",
                         messages_per_producer=messages_per_producer,
                         runs=runs, seed=seed, testbed=testbed)
@@ -415,12 +359,7 @@ def figure_chaos_degradation(*, fault_axis: str = "broker_kill_rate",
                              runs: int = 1, seed: int = 1,
                              plan: Optional[FaultPlan] = None,
                              testbed: Optional[TestbedConfig] = None,
-                             session: Optional[Session] = None,
-                             jobs: Optional[int] = None,
-                             backend: Optional[ExecutionBackend] = None,
-                             cache: Optional["ResultCache"] = None,
-                             policy: Optional[ExecutionPolicy] = None
-                             ) -> FigureData:
+                             session: Optional[Session] = None) -> FigureData:
     """Throughput degradation vs fault rate, per architecture (chaos sweep).
 
     Sweeps one fault axis (default: broker kills) through ``rates`` for
@@ -435,9 +374,6 @@ def figure_chaos_degradation(*, fault_axis: str = "broker_kill_rate",
     if fault_axis not in FAULT_AXES:
         raise ValueError(f"unknown fault axis {fault_axis!r}; "
                          f"expected one of {FAULT_AXES}")
-    session = Session.resolve(session, backend=backend, jobs=jobs,
-                              cache=cache, policy=policy,
-                              where="figure_chaos_degradation")
     base = _base_config(workload, "work_sharing",
                         messages_per_producer=messages_per_producer,
                         runs=runs, seed=seed, testbed=testbed,
@@ -526,20 +462,14 @@ def ablation_tunnel_type(*, workload: str = "Dstream",
                          consumer_counts: Iterable[int] = (1, 4, 16),
                          messages_per_producer: int = 15, seed: int = 1,
                          testbed: Optional[TestbedConfig] = None,
-                         session: Optional[Session] = None,
-                         jobs: Optional[int] = None,
-                         backend: Optional[ExecutionBackend] = None,
-                         cache: Optional["ResultCache"] = None,
-                         policy: Optional[ExecutionPolicy] = None) -> SweepResult:
+                         session: Optional[Session] = None) -> SweepResult:
     """PRS tunnel choice: Stunnel vs HAProxy vs Nginx."""
-    session = Session.resolve(session, backend=backend, jobs=jobs,
-                              cache=cache, policy=policy,
-                              where="ablation_tunnel_type")
-    return _sweep(workload, "work_sharing",
-                  ["PRS(Stunnel)", "PRS(HAProxy)", "PRS(Nginx)"],
-                  consumer_counts, session=session,
-                  messages_per_producer=messages_per_producer,
-                  runs=1, seed=seed, testbed=testbed)
+    [sweep] = _sweep_grid([workload], ["work_sharing"],
+                          ["PRS(Stunnel)", "PRS(HAProxy)", "PRS(Nginx)"],
+                          consumer_counts, session=session,
+                          messages_per_producer=messages_per_producer,
+                          runs=1, seed=seed, testbed=testbed).values()
+    return sweep
 
 
 def ablation_proxy_connections(*, workload: str = "Dstream",
@@ -547,60 +477,41 @@ def ablation_proxy_connections(*, workload: str = "Dstream",
                                messages_per_producer: int = 15, seed: int = 1,
                                testbed: Optional[TestbedConfig] = None,
                                session: Optional[Session] = None,
-                               jobs: Optional[int] = None,
-                               backend: Optional[ExecutionBackend] = None,
-                               cache: Optional["ResultCache"] = None,
-                               policy: Optional[ExecutionPolicy] = None
                                ) -> SweepResult:
     """Number of parallel connections to the PRS proxies (1 vs 4)."""
-    session = Session.resolve(session, backend=backend, jobs=jobs,
-                              cache=cache, policy=policy,
-                              where="ablation_proxy_connections")
-    return _sweep(workload, "work_sharing",
-                  ["PRS(HAProxy)", "PRS(HAProxy,4conns)"],
-                  consumer_counts, session=session,
-                  messages_per_producer=messages_per_producer,
-                  runs=1, seed=seed, testbed=testbed)
+    [sweep] = _sweep_grid([workload], ["work_sharing"],
+                          ["PRS(HAProxy)", "PRS(HAProxy,4conns)"],
+                          consumer_counts, session=session,
+                          messages_per_producer=messages_per_producer,
+                          runs=1, seed=seed, testbed=testbed).values()
+    return sweep
 
 
 def ablation_mss_lb_bypass(*, workload: str = "Dstream",
                            consumer_counts: Iterable[int] = (4, 16, 64),
                            messages_per_producer: int = 15, seed: int = 1,
                            testbed: Optional[TestbedConfig] = None,
-                           session: Optional[Session] = None,
-                           jobs: Optional[int] = None,
-                           backend: Optional[ExecutionBackend] = None,
-                           cache: Optional["ResultCache"] = None,
-                           policy: Optional[ExecutionPolicy] = None
-                           ) -> SweepResult:
+                           session: Optional[Session] = None) -> SweepResult:
     """§6 improvement: internal consumers bypass the MSS load balancer."""
-    session = Session.resolve(session, backend=backend, jobs=jobs,
-                              cache=cache, policy=policy,
-                              where="ablation_mss_lb_bypass")
-    return _sweep(workload, "work_sharing", ["MSS", "MSS(bypass)"],
-                  consumer_counts, session=session,
-                  messages_per_producer=messages_per_producer,
-                  runs=1, seed=seed, testbed=testbed)
+    [sweep] = _sweep_grid([workload], ["work_sharing"],
+                          ["MSS", "MSS(bypass)"],
+                          consumer_counts, session=session,
+                          messages_per_producer=messages_per_producer,
+                          runs=1, seed=seed, testbed=testbed).values()
+    return sweep
 
 
 def ablation_link_speed(*, workload: str = "Lstream",
                         consumers: int = 16,
                         messages_per_producer: int = 10, seed: int = 1,
                         speeds_gbps: Sequence[float] = (1, 10, 100),
-                        session: Optional[Session] = None,
-                        jobs: Optional[int] = None,
-                        backend: Optional[ExecutionBackend] = None,
-                        cache: Optional["ResultCache"] = None,
-                        policy: Optional[ExecutionPolicy] = None) -> list[dict]:
+                        session: Optional[Session] = None) -> list[dict]:
     """§6: what the 100 Gbps interfaces would buy each architecture.
 
     Thin wrapper over :func:`figure_bandwidth_scaling` kept for the
     historical row shape (architecture-major order since the sweep moved to
     the product grid).
     """
-    session = Session.resolve(session, backend=backend, jobs=jobs,
-                              cache=cache, policy=policy,
-                              where="ablation_link_speed")
     data = figure_bandwidth_scaling(
         workload=workload, consumers=consumers, speeds_gbps=speeds_gbps,
         messages_per_producer=messages_per_producer, seed=seed,
@@ -617,16 +528,8 @@ def ablation_work_queue_count(*, workload: str = "Dstream",
                               queue_counts: Sequence[int] = (1, 2, 4),
                               messages_per_producer: int = 20,
                               seed: int = 1,
-                              session: Optional[Session] = None,
-                              jobs: Optional[int] = None,
-                              backend: Optional[ExecutionBackend] = None,
-                              cache: Optional["ResultCache"] = None,
-                              policy: Optional[ExecutionPolicy] = None
-                              ) -> list[dict]:
+                              session: Optional[Session] = None) -> list[dict]:
     """§5.2: the two-shared-work-queues choice vs one or four queues."""
-    session = Session.resolve(session, backend=backend, jobs=jobs,
-                              cache=cache, policy=policy,
-                              where="ablation_work_queue_count")
     scenarios = ScenarioSet()
     for queue_count in queue_counts:
         config = ExperimentConfig(
@@ -649,16 +552,11 @@ def ablation_network_layer_forwarding(*, workload: str = "Dstream",
                                       seed: int = 1,
                                       testbed: Optional[TestbedConfig] = None,
                                       session: Optional[Session] = None,
-                                      jobs: Optional[int] = None,
-                                      backend: Optional[ExecutionBackend] = None,
-                                      cache: Optional["ResultCache"] = None,
-                                      policy: Optional[ExecutionPolicy] = None
                                       ) -> SweepResult:
     """§6 future work: network-layer forwarding (EJFAT-style) vs DTS/PRS."""
-    session = Session.resolve(session, backend=backend, jobs=jobs,
-                              cache=cache, policy=policy,
-                              where="ablation_network_layer_forwarding")
-    return _sweep(workload, "work_sharing", ["DTS", "NLF", "PRS(HAProxy)"],
-                  consumer_counts, session=session,
-                  messages_per_producer=messages_per_producer,
-                  runs=1, seed=seed, testbed=testbed)
+    [sweep] = _sweep_grid([workload], ["work_sharing"],
+                          ["DTS", "NLF", "PRS(HAProxy)"],
+                          consumer_counts, session=session,
+                          messages_per_producer=messages_per_producer,
+                          runs=1, seed=seed, testbed=testbed).values()
+    return sweep

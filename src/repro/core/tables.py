@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from ..architectures import TestbedConfig
-from ..harness import ExecutionPolicy, Session
+from ..harness import Session
 from ..metrics import format_table
 from ..workloads import WORKLOADS
 from .study import PAPER_ARCHITECTURES, deployment_comparison
@@ -75,18 +75,13 @@ def table1_text() -> str:
 def architecture_comparison_rows(
         architectures: Sequence[str] = ("DTS", "PRS(HAProxy)", "MSS"), *,
         testbed_config: Optional[TestbedConfig] = None,
-        session: Optional[Session] = None,
-        jobs: Optional[int] = None,
-        policy: Optional[ExecutionPolicy] = None) -> list[dict]:
+        session: Optional[Session] = None) -> list[dict]:
     """Qualitative architecture comparison derived from real deployments.
 
     The deployments run through the unified scenario runner under
     ``session``, so a parallel session deploys the architectures
-    concurrently and its policy adds per-deployment timeout/retry handling
-    (``jobs``/``policy`` are the deprecated pre-session keywords).
+    concurrently and its policy adds per-deployment timeout/retry handling.
     """
-    session = Session.resolve(session, jobs=jobs, policy=policy,
-                              where="architecture_comparison_rows")
     reports = deployment_comparison(architectures, testbed_config=testbed_config,
                                     session=session)
     return [report.as_row() for report in reports.values()]
@@ -95,11 +90,7 @@ def architecture_comparison_rows(
 def architecture_comparison_text(
         architectures: Sequence[str] = ("DTS", "PRS(HAProxy)", "MSS"), *,
         testbed_config: Optional[TestbedConfig] = None,
-        session: Optional[Session] = None,
-        jobs: Optional[int] = None,
-        policy: Optional[ExecutionPolicy] = None) -> str:
-    session = Session.resolve(session, jobs=jobs, policy=policy,
-                              where="architecture_comparison_text")
+        session: Optional[Session] = None) -> str:
     rows = architecture_comparison_rows(architectures,
                                         testbed_config=testbed_config,
                                         session=session)

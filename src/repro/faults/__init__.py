@@ -12,7 +12,7 @@ dotted grid coordinate through :meth:`ScenarioSet.product
 Determinism contract: plans expand into :class:`FaultSpec` schedules using
 derived RNG streams only (``streams.stream("faults", <kind>)``), one stream
 per fault kind, so chaos runs are bit-reproducible and byte-identical
-across the serial/process/thread backends — and ``faults=None`` (or the
+across the serial and process backends — and ``faults=None`` (or the
 inactive all-zero plan) is the *exact* pre-fault code path, preserving the
 committed golden digests.
 """

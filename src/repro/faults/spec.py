@@ -13,7 +13,7 @@ at t=1.37 s for 1.0 s" — expanded deterministically from a plan by
 :meth:`FaultPlan.expand` using derived RNG streams
 (``streams.stream("faults", <kind>)``).  Each fault kind draws from its own
 stream, so enabling one axis never shifts another axis' draws and a chaos
-sweep stays bit-reproducible across serial/process/thread backends.
+sweep stays bit-reproducible across the serial and process backends.
 
 Rate semantics: each ``*_rate``-style axis is the **expected number of
 events over the plan's** ``horizon_s`` (integer parts are exact, the

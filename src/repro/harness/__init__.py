@@ -8,8 +8,7 @@ unified scenario runner in :mod:`repro.harness.runner`.  Execution context
 :class:`~repro.harness.session.Session` object: build it once (directly,
 from ``REPRO_*`` environment variables via :meth:`Session.from_env`, or
 from CLI args via :meth:`Session.from_args`) and pass ``session=`` to any
-entry point; the historical ``jobs/backend/cache/policy`` keyword bundle
-still works as a deprecated shim.
+entry point.
 """
 
 from .bench import (
@@ -55,7 +54,6 @@ from .runner import (
     ScenarioPoint,
     ScenarioSet,
     SerialBackend,
-    ThreadPoolBackend,
     backend_names,
     create_backend,
     register_backend,
@@ -98,7 +96,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "ThreadPoolBackend",
     "BackendFactory",
     "register_backend",
     "unregister_backend",

@@ -183,8 +183,8 @@ def _bench_sweep_end_to_end() -> float:
         architecture="DTS", workload="Dstream", pattern="work_sharing",
         num_producers=2, num_consumers=2, messages_per_producer=10,
         testbed=TestbedConfig(producer_nodes=4, consumer_nodes=4))
-    scenarios = ScenarioSet.grid(base, architectures=["DTS", "MSS"],
-                                 consumer_counts=[1, 2])
+    scenarios = ScenarioSet.product(base, {"architecture": ["DTS", "MSS"],
+                                           "consumers": [1, 2]})
     with Session(backend="serial") as session:
         outcomes = session.run(scenarios)
     assert all(outcome.result.feasible for outcome in outcomes)
@@ -211,7 +211,7 @@ def _bench_discrete_clients_point() -> float:
 def _bench_population_sweep() -> float:
     """Aggregate-client scaling: 10^4 logical clients via the population axis.
 
-    Sweeps the opt-in ``populations`` scenario coordinate over {1, 2500}
+    Sweeps the opt-in ``population`` scenario axis over {1, 2500}
     on the standard 4-producer point — the K=2500 point stands for
     4 x 2500 = 10^4 logical clients yet simulates only 4 aggregate
     producers, so the whole two-point sweep should stay within ~2x of the
@@ -220,8 +220,8 @@ def _bench_population_sweep() -> float:
     from .runner import ScenarioSet
     from .session import Session
 
-    scenarios = ScenarioSet.grid(_experiment_config(),
-                                 populations=[1, 2500])
+    scenarios = ScenarioSet.product(_experiment_config(),
+                                    {"population": [1, 2500]})
     with Session(backend="serial") as session:
         outcomes = session.run(scenarios)
     assert len(outcomes) == 2, len(outcomes)

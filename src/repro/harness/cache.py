@@ -15,12 +15,9 @@ Sharding keeps flushes O(dirty shard), not O(total entries): the runner
 persists results incrementally as points complete, and with one monolithic
 file every flush rewrote the entire cache — quadratic over a long sweep.
 With 256 shards only the files whose entries changed since the last flush
-are rewritten (each atomically, via a temp file).  Caches written by the
-old single-file layout are migrated automatically on open: the file's
-entries are resharded into a directory at the same path and the original is
-removed.  A crash mid-migration leaves the original as
-``<path>.migrating``; the next open folds it back into the shard directory
-(fresher shard entries win) and deletes it.
+are rewritten (each atomically, via a temp file).  A cache path that is a
+regular file (the pre-sharding single-file layout) is refused with a
+``ValueError``; the ``cache`` admin commands refuse it the same way.
 
 Version awareness: every entry records the fingerprint of the ``repro``
 source tree that produced it.  An entry whose fingerprint no longer matches
@@ -89,6 +86,14 @@ LOCK_TIMEOUT_S = 30.0
 LOCK_STALE_S = 60.0
 
 _fingerprint: Optional[str] = None
+
+
+def not_a_cache_directory(path: str) -> str:
+    """The refusal for a cache path that is a regular file, shared by
+    :class:`ResultCache` and the ``cache`` admin commands."""
+    return (f"{path!r} is a file, but a result cache is a directory of "
+            f"shards; single-file caches are not read (delete the file or "
+            f"pass a directory path)")
 
 
 def code_fingerprint() -> str:
@@ -224,11 +229,9 @@ class ResultCache:
         #: Entries evicted because their code fingerprint went stale.
         self.stale_evicted = 0
         if os.path.isfile(path):
-            self._migrate_single_file(path)
-        else:
-            if os.path.isdir(path):
-                self._load_shards(path)
-            self._recover_interrupted_migration(path)
+            raise ValueError(not_a_cache_directory(path))
+        if os.path.isdir(path):
+            self._load_shards(path)
 
     # -- on-disk layout -----------------------------------------------------------
     @staticmethod
@@ -254,41 +257,6 @@ class ResultCache:
                 f"result cache {path!r} has version "
                 f"{payload.get('version')!r}; expected {CACHE_VERSION}")
         return payload
-
-    def _migrate_single_file(self, path: str) -> None:
-        """Reshard a pre-sharding single-file cache into the directory
-        layout, preserving every entry (auto-migration on open)."""
-        payload = self._load_payload(path)
-        if payload is None:  # corrupt: quarantined; nothing to migrate
-            return
-        self._entries = dict(payload.get("entries", {}))
-        staging = f"{path}.migrating"
-        os.replace(path, staging)
-        os.makedirs(path, exist_ok=True)
-        self._dirty_shards = {_shard_name(key) for key in self._entries}
-        self._write_dirty_shards()
-        os.remove(staging)
-
-    def _recover_interrupted_migration(self, path: str) -> None:
-        """Finish a migration that crashed mid-reshard: fold the stranded
-        ``<path>.migrating`` backup into the shard directory (shards win —
-        they may already hold fresher post-crash entries)."""
-        staging = f"{path}.migrating"
-        if not os.path.isfile(staging):
-            return
-        payload = self._load_payload(staging)
-        if payload is not None:
-            recovered = {key: entry
-                         for key, entry in payload.get("entries", {}).items()
-                         if key not in self._entries}
-            if recovered:
-                self._entries.update(recovered)
-                self._dirty_shards.update(_shard_name(key)
-                                          for key in recovered)
-                os.makedirs(path, exist_ok=True)
-                self._write_dirty_shards()
-        if os.path.exists(staging):  # _load_payload quarantines corruption
-            os.remove(staging)
 
     def _load_shards(self, path: str) -> None:
         for name in sorted(os.listdir(path)):

@@ -44,7 +44,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .._version import __version__
-from .cache import CACHE_VERSION, code_fingerprint, shard_lock
+from .cache import (
+    CACHE_VERSION,
+    code_fingerprint,
+    not_a_cache_directory,
+    shard_lock,
+)
 
 __all__ = [
     "CacheAdminError",
@@ -104,12 +109,9 @@ def _read_shard(shard_path: str) -> Optional[dict]:
     return payload
 
 
-def _require_directory(path: str, *, verb: str) -> None:
+def _require_directory(path: str) -> None:
     if os.path.isfile(path):
-        raise CacheAdminError(
-            f"{path!r} is a pre-sharding single-file cache; open it once "
-            f"with ResultCache (any sweep with --cache does) to migrate "
-            f"it, then {verb} the directory")
+        raise CacheAdminError(not_a_cache_directory(path))
 
 
 def _quarantine_files(path: str) -> list[str]:
@@ -183,10 +185,10 @@ def collect_stats(path: str) -> CacheStats:
     """Census a cache directory without modifying it.
 
     A missing directory reads as an empty cache (a session whose cache
-    never flushed has no directory yet); a legacy single-file cache is an
-    error directing the caller to migrate it first.
+    never flushed has no directory yet); a path that is a regular file is
+    refused.
     """
-    _require_directory(path, verb="inspect")
+    _require_directory(path)
     stats = CacheStats(path=path)
     if not os.path.isdir(path):
         return stats
@@ -258,7 +260,7 @@ def gc_cache(path: str, *, purge_quarantine: bool = False,
     without writing anything.  Each shard is processed under its lock, so
     GC is safe next to live writers.
     """
-    _require_directory(path, verb="gc")
+    _require_directory(path)
     report = GCReport(path=path, dry_run=dry_run)
     if not os.path.isdir(path):
         return report
@@ -340,7 +342,7 @@ def compact_cache(path: str) -> CompactReport:
     round-trip preserves the entry's own key order, string escaping and
     float repr — so compaction never perturbs the bit-identity goldens.
     """
-    _require_directory(path, verb="compact")
+    _require_directory(path)
     report = CompactReport(path=path)
     if not os.path.isdir(path):
         return report
@@ -463,7 +465,7 @@ def snapshot_cache(path: str, name: str, *, force: bool = False
     it.  Quarantine files, lock files and other profiles are not part of
     a snapshot.
     """
-    _require_directory(path, verb="snapshot")
+    _require_directory(path)
     if not os.path.isdir(path):
         raise CacheAdminError(f"no cache directory at {path!r}; run a "
                               f"sweep with --cache first")
@@ -510,7 +512,7 @@ def rollback_cache(path: str, name: str) -> RollbackReport:
     Lock files, quarantine files and the profiles directory itself are
     untouched — a rollback rewinds results, not administrative state.
     """
-    _require_directory(path, verb="roll back")
+    _require_directory(path)
     profile_dir = _profile_path(path, name)
     if not os.path.isdir(profile_dir):
         known = ", ".join(p.name for p in list_profiles(path)) or "none"

@@ -7,12 +7,13 @@ module is the single place where that grid is executed:
 * :class:`ScenarioPoint` — one picklable unit of work (an
   :class:`~repro.harness.config.ExperimentConfig` plus a series label and
   axis metadata used when reassembling results into sweeps/figures).
-* :class:`ScenarioSet` — builder API for grids and sweeps, with a
-  deterministic point order.
+* :class:`ScenarioSet` — an ordered point collection with one grid
+  builder, :meth:`ScenarioSet.product` (architecture, consumer count and
+  any dotted config path as axes), plus the control-plane-only
+  :meth:`ScenarioSet.deployments`; point order is deterministic.
 * :class:`ExecutionBackend` — how the points run: :class:`SerialBackend`
-  (in-process, the reference semantics), :class:`ProcessPoolBackend`
-  (chunked ``multiprocessing``) or :class:`ThreadPoolBackend` (a thread
-  pool, for I/O-light points).  Every simulation seeds its own random
+  (in-process, the reference semantics) or :class:`ProcessPoolBackend`
+  (chunked ``multiprocessing``).  Every simulation seeds its own random
   streams from the config, so parallel execution is bit-identical to serial
   for the same seeds; outcomes are always returned in submission order.
   Backends are addressable by *name* through a registry
@@ -25,9 +26,7 @@ module is the single place where that grid is executed:
   :func:`~repro.core.study.compare_architectures`,
   :func:`~repro.core.study.deployment_comparison`, the figure generators and
   the CLI.  Execution context (backend, cache, policy, progress) is carried
-  by a :class:`~repro.harness.session.Session`; the historical
-  ``jobs/backend/cache/policy`` keyword bundle still works as a deprecated
-  shim that builds a session internally.
+  by a :class:`~repro.harness.session.Session`, the only way to pass it.
 
 Results can be cached to disk (:class:`~repro.harness.cache.ResultCache`) and
 reused by figure regeneration: run under a ``Session(cache=...)`` and
@@ -36,7 +35,6 @@ already-computed points are loaded instead of re-simulated.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import itertools
 import json
@@ -81,7 +79,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "ThreadPoolBackend",
     "BackendFactory",
     "register_backend",
     "unregister_backend",
@@ -229,16 +226,14 @@ class PointOutcome:
         return self.error is None
 
 
-def _axis_values(name: str, values, default: Sequence) -> list:
-    """Resolve one grid axis: ``None`` keeps the base config's value; an
-    explicitly empty sequence is an error (``seeds=[]`` silently falling
-    back to the base seed has bitten real sweeps)."""
-    if values is None:
-        return list(default)
+def _axis_values(name: str, values) -> list:
+    """One grid axis as a list; an explicitly empty sequence is an error
+    (``seed=[]`` silently falling back to the base seed has bitten real
+    sweeps)."""
     values = list(values)
     if not values:
-        raise ValueError(f"axis {name!r} is an empty sequence; pass None "
-                         f"(or omit it) to keep the base config's value")
+        raise ValueError(f"axis {name!r} is an empty sequence; omit the "
+                         f"axis to keep the base config's value")
     return values
 
 
@@ -289,7 +284,7 @@ def _clean_architecture(base: ExperimentConfig, architecture: str
 
 
 class ScenarioSet:
-    """An ordered collection of scenario points with grid builders.
+    """An ordered collection of scenario points.
 
     Order is deterministic and significant: backends return outcomes in
     exactly this order, which is what makes parallel sweeps bit-identical to
@@ -341,66 +336,6 @@ class ScenarioSet:
         return self
 
     @classmethod
-    def grid(cls, base: ExperimentConfig, *,
-             architectures: Optional[Sequence[str]] = None,
-             workloads: Optional[Sequence[str]] = None,
-             patterns: Optional[Sequence[str]] = None,
-             consumer_counts: Optional[Sequence[int]] = None,
-             populations: Optional[Sequence[int]] = None,
-             seeds: Optional[Sequence[int]] = None,
-             equal_producers: bool = True) -> "ScenarioSet":
-        """Cartesian grid over the paper's scenario axes.
-
-        Any axis left as ``None`` stays fixed at the base config's value; an
-        explicitly empty axis raises ``ValueError`` instead of silently
-        collapsing onto the base value.  Points are ordered
-        architecture-major (matching the historical sweep loops), then
-        workload, pattern, consumer count, population and seed.  ``base``'s
-        ``architecture_options`` apply only to points whose architecture is
-        the base's own — other architectures on the axis start from clean
-        options.
-
-        ``populations`` is the opt-in aggregate-client axis: each value K
-        makes every producer endpoint stand for K clients (see
-        :class:`~repro.workloads.population.ClientPopulation`).  When the
-        axis is omitted the points carry no ``population`` coordinate and
-        the grid is identical to the historical one.
-        """
-        scenarios = cls()
-        for architecture in _axis_values("architectures", architectures,
-                                         [base.architecture]):
-            arch_base = _clean_architecture(base, architecture)
-            for workload in _axis_values("workloads", workloads,
-                                         [base.workload]):
-                for pattern in _axis_values("patterns", patterns,
-                                            [base.pattern]):
-                    config = replace(arch_base, workload=workload,
-                                     pattern=pattern)
-                    for consumers in _axis_values("consumer_counts",
-                                                  consumer_counts,
-                                                  [base.num_consumers]):
-                        point_config = config.with_consumers(
-                            consumers, equal_producers=equal_producers)
-                        for population in _axis_values(
-                                "populations", populations,
-                                [base.population]):
-                            pop_config = replace(point_config,
-                                                 population=population)
-                            # Record the coordinate only when the axis was
-                            # requested, so existing grids keep their axes.
-                            pop_axes = ({"population": population}
-                                        if populations is not None else {})
-                            for seed in _axis_values("seeds", seeds,
-                                                     [base.seed]):
-                                scenarios.add_config(
-                                    replace(pop_config, seed=seed),
-                                    label=architecture,
-                                    workload=workload, pattern=pattern,
-                                    consumers=consumers, **pop_axes,
-                                    seed=seed)
-        return scenarios
-
-    @classmethod
     def product(cls, base: ExperimentConfig, axes: dict, *,
                 equal_producers: bool = True) -> "ScenarioSet":
         """Cartesian grid over *arbitrary* config/testbed axes.
@@ -430,7 +365,7 @@ class ScenarioSet:
             raise ValueError("product needs at least one axis; use "
                              "add_config for a single point")
         names = list(axes)
-        if "architecture" in names:  # architecture-major, like grid
+        if "architecture" in names:  # architecture-major
             names.remove("architecture")
             names.insert(0, "architecture")
         # ``faults.*`` axes need a plan object to walk into: give a
@@ -445,7 +380,7 @@ class ScenarioSet:
             if values is None:
                 raise ValueError(f"axis {name!r} is None; omit the axis to "
                                  f"keep the base config's value")
-            ordered[name] = _axis_values(name, values, ())
+            ordered[name] = _axis_values(name, values)
             if name not in ("architecture", "consumers"):
                 _validate_axis_path(base, name)
         scenarios = cls()
@@ -467,16 +402,6 @@ class ScenarioSet:
                                         label=config.architecture,
                                         axes=coords))
         return scenarios
-
-    @classmethod
-    def consumer_sweep(cls, base: ExperimentConfig, *,
-                       architectures: Sequence[str],
-                       consumer_counts: Sequence[int],
-                       equal_producers: bool = True) -> "ScenarioSet":
-        """The (architecture, consumer-count) grid behind Figures 4-8."""
-        return cls.grid(base, architectures=architectures,
-                        consumer_counts=consumer_counts,
-                        equal_producers=equal_producers)
 
     @classmethod
     def deployments(cls, architectures: Sequence[str],
@@ -694,55 +619,6 @@ class ProcessPoolBackend:
         return [slot for slot in slots if slot is not None]
 
 
-class ThreadPoolBackend:
-    """Thread-pool backend for I/O-light points (no process start-up cost).
-
-    Points run on ``jobs`` worker threads via the same indexed worker as the
-    process pool, and results are reassembled into submission order, so the
-    output is bit-identical to :class:`SerialBackend` for the same seeds
-    (every simulation derives all randomness from its own config — no
-    process- or thread-global state).  ``on_result``/``progress`` fire in
-    the submitting thread, in completion order, mirroring
-    :class:`ProcessPoolBackend`.
-
-    Caveat: ``ExecutionPolicy.timeout_s`` is enforced with ``SIGALRM``,
-    which only works on the process's main thread — under this backend an
-    attempt runs unbounded instead (retries and ``on_error`` handling are
-    unaffected).  Simulations are CPU-bound pure Python, so the GIL limits
-    speed-up; prefer ``"process"`` for wide sweeps and this backend where
-    fork/spawn overhead dominates tiny points.
-    """
-
-    def __init__(self, jobs: Optional[int] = None) -> None:
-        self.jobs = jobs or os.cpu_count() or 1
-
-    def run(self, points: Sequence[ScenarioPoint],
-            progress: Optional[Callable[[ScenarioPoint], None]] = None, *,
-            policy: Optional[ExecutionPolicy] = None,
-            on_result: Optional[ResultCallback] = None
-            ) -> list[tuple[bool, Any, int]]:
-        if not points:
-            return []
-        if self.jobs <= 1 or len(points) == 1:
-            return SerialBackend().run(points, progress, policy=policy,
-                                       on_result=on_result)
-        slots: list[Optional[tuple[bool, Any, int]]] = [None] * len(points)
-        with concurrent.futures.ThreadPoolExecutor(
-                max_workers=min(self.jobs, len(points))) as pool:
-            futures = [pool.submit(_execute_indexed, (index, point, policy))
-                       for index, point in enumerate(points)]
-            for future in concurrent.futures.as_completed(futures):
-                index, ok, value, attempts = future.result()
-                slots[index] = (ok, value, attempts)
-                # Same discipline as the process pool: persist before the
-                # user callback so a raising progress hook loses nothing.
-                if on_result is not None:
-                    on_result(index, ok, value, attempts)
-                if progress is not None:
-                    progress(points[index])
-        return [slot for slot in slots if slot is not None]
-
-
 # ---------------------------------------------------------------------------
 # Named-backend registry
 # ---------------------------------------------------------------------------
@@ -806,7 +682,6 @@ def create_backend(name: str, *, jobs: Optional[int] = None
 
 register_backend("serial", lambda jobs=None: SerialBackend())
 register_backend("process", lambda jobs=None: ProcessPoolBackend(jobs))
-register_backend("thread", lambda jobs=None: ThreadPoolBackend(jobs))
 
 
 def resolve_backend(backend: Union[ExecutionBackend, str, None] = None,
@@ -828,19 +703,15 @@ def resolve_backend(backend: Union[ExecutionBackend, str, None] = None,
 
 def run_scenarios(scenarios: Iterable[ScenarioPoint], *,
                   session: Optional["Session"] = None,
-                  backend: Union[ExecutionBackend, str, None] = None,
-                  jobs: Optional[int] = None,
-                  progress: Optional[Callable[[ScenarioPoint], None]] = None,
-                  cache: Optional["ResultCache"] = None,
-                  policy: Optional[ExecutionPolicy] = None
+                  progress: Optional[Callable[[ScenarioPoint], None]] = None
                   ) -> list[PointOutcome]:
     """Execute scenario points and return outcomes in submission order.
 
     ``session`` (a :class:`~repro.harness.session.Session`) carries the
     whole execution context — backend, result cache, execution policy and a
-    default progress callback.  The legacy ``backend``/``jobs``/``cache``/
-    ``policy`` keywords are a deprecation shim: they build a session
-    internally and warn once per process; passing both styles is an error.
+    default progress callback; ``None`` means ``Session()`` (serial,
+    uncached, fail-fast).  A closed session is refused with
+    :class:`RuntimeError`.
 
     The session's cache short-circuits points whose results are already on
     disk and records fresh ones; only "experiment" points are cacheable.
@@ -856,9 +727,12 @@ def run_scenarios(scenarios: Iterable[ScenarioPoint], *,
     :class:`PointOutcome` objects (``result=None``, ``error`` set).
     """
     from .session import Session
-    session = Session.resolve(session, backend=backend, jobs=jobs,
-                              cache=cache, policy=policy,
-                              where="run_scenarios")
+    if session is None:
+        session = Session()
+    elif session.closed:
+        raise RuntimeError("run_scenarios() got a closed session; build a "
+                           "new Session (or run before leaving the with "
+                           "block)")
     backend = session.backend
     cache = session.cache
     policy = session.policy

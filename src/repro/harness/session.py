@@ -1,10 +1,9 @@
 """Execution sessions: one context object for every sweep's knobs.
 
-PRs 1–3 grew the execution engine three knobs at a time — ``jobs=``,
-``backend=``, ``cache=``, ``policy=`` — threaded as a keyword bundle
-through every public entry point.  A :class:`Session` replaces that bundle
-with a single object holding the resolved backend, the result cache, the
-execution policy and a default progress callback::
+A :class:`Session` holds the resolved backend, the result cache, the
+execution policy and a default progress callback.  It is the only way to
+hand a sweep, figure or table its execution context: every entry point
+takes ``session=`` and nothing else::
 
     from repro.harness import Session
 
@@ -13,10 +12,10 @@ execution policy and a default progress callback::
         outcomes = session.run(scenarios)
         sweep = ConsumerSweep(base, architectures=archs).run(session=session)
 
-Backends are addressed by *registry name* (``"serial"``, ``"process"``,
-``"thread"``; see :func:`~repro.harness.runner.register_backend`), so a
-future distributed backend is one ``register_backend("slurm", factory)``
-call away from every sweep, figure and CLI subcommand — no new kwargs.
+Backends are addressed by *registry name* (``"serial"``, ``"process"``;
+see :func:`~repro.harness.runner.register_backend`), so a future
+distributed backend is one ``register_backend("slurm", factory)`` call
+away from every sweep, figure and CLI subcommand — no new kwargs.
 
 :meth:`Session.from_env` builds the same object from ``REPRO_*``
 environment variables and :meth:`Session.from_args` from a parsed CLI
@@ -37,11 +36,8 @@ Environment variable   Session field
 ``REPRO_ON_ERROR``     ``policy.on_error`` (raise|skip|record)
 =====================  ====================================================
 
-The legacy keyword bundle still works everywhere it used to: entry points
-coerce it through :meth:`Session.resolve`, which builds an equivalent
-session and emits one :class:`DeprecationWarning` per process.  A session
-is picklable where needed (no live pool is held between runs); a
-``progress`` callback travels only if it is itself picklable.
+A session is picklable where needed (no live pool is held between runs);
+a ``progress`` callback travels only if it is itself picklable.
 """
 
 from __future__ import annotations
@@ -63,37 +59,13 @@ from .runner import (
     run_scenarios,
 )
 
-__all__ = ["Session", "ENV_PREFIX", "reset_legacy_warning"]
+__all__ = ["Session", "ENV_PREFIX"]
 
 #: Prefix of the environment variables read by :meth:`Session.from_env`.
 ENV_PREFIX = "REPRO_"
 
 #: Accepted truthy spellings for boolean environment variables.
 _TRUTHY = ("1", "true", "yes", "on")
-
-#: Names of the deprecated per-call keywords the session replaces.
-LEGACY_KWARGS = ("jobs", "backend", "cache", "policy")
-
-_legacy_warned = False
-
-
-def _warn_legacy(where: str) -> None:
-    """Deprecation warning for the pre-session kwarg bundle, once/process."""
-    global _legacy_warned
-    if _legacy_warned:
-        return
-    _legacy_warned = True
-    warnings.warn(
-        f"passing jobs=/backend=/cache=/policy= to {where}() is deprecated; "
-        f"build a repro.harness.Session and pass session= instead "
-        f"(warned once per process)",
-        DeprecationWarning, stacklevel=4)
-
-
-def reset_legacy_warning() -> None:
-    """Re-arm the once-per-process legacy-kwarg warning (test hook)."""
-    global _legacy_warned
-    _legacy_warned = False
 
 
 class Session:
@@ -102,8 +74,8 @@ class Session:
     Parameters
     ----------
     backend:
-        A registry name (``"serial"``, ``"process"``, ``"thread"``, or any
-        name added via :func:`~repro.harness.runner.register_backend`), an
+        A registry name (``"serial"``, ``"process"``, or any name added
+        via :func:`~repro.harness.runner.register_backend`), an
         :class:`~repro.harness.runner.ExecutionBackend` instance, or
         ``None`` to pick serial/process from ``jobs``.
     jobs:
@@ -256,49 +228,12 @@ class Session:
             settings["on_error"] = on_error
         return cls._from_settings(settings)
 
-    @classmethod
-    def resolve(cls, session: Optional["Session"], *,
-                backend: Union[ExecutionBackend, str, None] = None,
-                jobs: Optional[int] = None,
-                cache: Union["ResultCache", str, os.PathLike, None] = None,
-                policy: Optional[ExecutionPolicy] = None,
-                where: str = "run_scenarios") -> "Session":
-        """Coerce (session, legacy kwargs) into one session — the shim
-        behind every entry point that still accepts the old bundle.
-
-        * ``session`` alone: returned unchanged.
-        * legacy kwargs alone: an equivalent session, plus one
-          :class:`DeprecationWarning` per process.
-        * both: :class:`TypeError` — mixing the styles would make it
-          ambiguous which context wins.
-        * neither: the default session (serial, uncached, fail-fast).
-        """
-        supplied = [name for name, value
-                    in zip(LEGACY_KWARGS, (jobs, backend, cache, policy))
-                    if value is not None]
-        if session is not None:
-            if supplied:
-                raise TypeError(
-                    f"{where}() got both session= and the legacy "
-                    f"{'/'.join(supplied)} keyword(s); pass session= only")
-            if session.closed:
-                raise RuntimeError(
-                    f"{where}() got a closed session; build a new Session "
-                    f"(or run before leaving the with block)")
-            return session
-        if supplied:
-            _warn_legacy(where)
-        return cls(backend=backend, jobs=jobs, cache=cache, policy=policy)
-
     # -- execution -----------------------------------------------------------
     def run(self, scenarios: Iterable[ScenarioPoint], *,
             progress: Optional[Callable[[ScenarioPoint], None]] = None
             ) -> list[PointOutcome]:
         """Execute scenario points under this session (see
         :func:`~repro.harness.runner.run_scenarios`)."""
-        if self.closed:
-            raise RuntimeError("session is closed; build a new Session "
-                               "(or run before leaving the with block)")
         return run_scenarios(scenarios, session=self, progress=progress)
 
     # -- lifecycle -----------------------------------------------------------

@@ -3,8 +3,10 @@
 The paper varies the number of consumers from 1 to 64 (powers of two) and,
 except for broadcast and gather, keeps the number of producers equal to the
 number of consumers (§5.2).  A :class:`ConsumerSweep` runs one experiment
-per (architecture, consumer-count) pair and collects the results in a form
-the figure generators consume directly.
+per (architecture, consumer-count) pair — a
+:meth:`~repro.harness.runner.ScenarioSet.product` grid over the
+``architecture`` and ``consumers`` axes — and collects the results in a
+form the figure generators consume directly.
 
 Beyond the paper's five axes, :func:`sensitivity_sweep` runs a
 :meth:`~repro.harness.runner.ScenarioSet.product` grid over arbitrary
@@ -13,27 +15,20 @@ config/testbed axes (``testbed.link_bandwidth_bps``, ``testbed.dsn_count``,
 :class:`SensitivitySweep` of long-format rows keyed by axis values — the
 engine behind the ``repro-streamsim sensitivity`` subcommand and the §6
 bandwidth ablation figure.
+
+Both run under one :class:`~repro.harness.session.Session` passed as
+``session=`` (``None`` means a serial, uncached, fail-fast session).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .config import ExperimentConfig
 from .results import ExperimentResult, PointFailure
-from .runner import (
-    ExecutionBackend,
-    ExecutionPolicy,
-    PointOutcome,
-    ScenarioPoint,
-    ScenarioSet,
-    run_scenarios,
-)
+from .runner import PointOutcome, ScenarioPoint, ScenarioSet, run_scenarios
 from .session import Session
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .cache import ResultCache
 
 __all__ = ["PAPER_CONSUMER_COUNTS", "SweepResult", "ConsumerSweep",
            "SensitivitySweep", "sensitivity_sweep", "scale_link_tiers"]
@@ -110,38 +105,28 @@ class ConsumerSweep:
         self.equal_producers = equal_producers
 
     def scenario_set(self) -> ScenarioSet:
-        """The sweep as scenario points, in the historical execution order."""
-        return ScenarioSet.consumer_sweep(
-            self.base_config, architectures=self.architectures,
-            consumer_counts=self.consumer_counts,
+        """The sweep as scenario points, architecture-major."""
+        return ScenarioSet.product(
+            self.base_config, {"architecture": self.architectures,
+                               "consumers": self.consumer_counts},
             equal_producers=self.equal_producers)
 
     def run(self, *,
             session: Optional[Session] = None,
             progress: Optional[Callable[[str, Optional[int], dict],
-                                        None]] = None,
-            jobs: Optional[int] = None,
-            backend: Optional[ExecutionBackend] = None,
-            cache: Optional["ResultCache"] = None,
-            policy: Optional[ExecutionPolicy] = None) -> SweepResult:
+                                        None]] = None) -> SweepResult:
         """Run every (architecture, consumer-count) point.
 
         ``session`` carries the execution context (backend/jobs, cache,
         policy); a parallel session's results are identical to serial
         execution for the same seeds, and under a session policy with
         ``on_error="record"`` a failed point lands in
-        ``SweepResult.failures`` instead of killing the sweep.  The
-        ``jobs``/``backend``/``cache``/``policy`` keywords are the
-        deprecated pre-session bundle (they build a session internally and
-        warn once per process).
+        ``SweepResult.failures`` instead of killing the sweep.
 
         ``progress`` receives ``(label, consumers, axes)`` per point —
         ``consumers`` is ``None`` for points without that axis, and ``axes``
-        is the point's full coordinate dict.
+        is the point's coordinate dict (``architecture`` and ``consumers``).
         """
-        session = Session.resolve(session, backend=backend, jobs=jobs,
-                                  cache=cache, policy=policy,
-                                  where="ConsumerSweep.run")
         sweep = SweepResult(workload=self.base_config.workload,
                             pattern=self.base_config.pattern,
                             consumer_counts=self.consumer_counts)
@@ -276,10 +261,6 @@ def sensitivity_sweep(base: ExperimentConfig, axes: dict, *,
                       transform: Optional[Callable[[ExperimentConfig],
                                                    ExperimentConfig]] = None,
                       session: Optional[Session] = None,
-                      jobs: Optional[int] = None,
-                      backend: Optional[ExecutionBackend] = None,
-                      cache: Optional["ResultCache"] = None,
-                      policy: Optional[ExecutionPolicy] = None,
                       progress: Optional[Callable[[ScenarioPoint],
                                                   None]] = None
                       ) -> SensitivitySweep:
@@ -288,16 +269,11 @@ def sensitivity_sweep(base: ExperimentConfig, axes: dict, *,
     ``axes`` follows :meth:`ScenarioSet.product` exactly (special
     ``architecture``/``consumers`` coordinates plus dotted config paths);
     execution goes through :func:`run_scenarios` under ``session``, so the
-    backend, cache and policy behave identically to every other sweep (the
-    ``jobs``/``backend``/``cache``/``policy`` keywords are the deprecated
-    pre-session bundle).  ``transform`` (applied via
-    :meth:`ScenarioSet.map_configs`) lets the sweep derive coupled config
-    changes from each point — e.g. rescaling the backbone links along with
-    a swept access-link bandwidth.
+    backend, cache and policy behave identically to every other sweep.
+    ``transform`` (applied via :meth:`ScenarioSet.map_configs`) lets the
+    sweep derive coupled config changes from each point — e.g. rescaling
+    the backbone links along with a swept access-link bandwidth.
     """
-    session = Session.resolve(session, backend=backend, jobs=jobs,
-                              cache=cache, policy=policy,
-                              where="sensitivity_sweep")
     scenarios = ScenarioSet.product(base, axes,
                                     equal_producers=equal_producers)
     if transform is not None:

@@ -124,10 +124,10 @@ SMALL_SWEEP = ["sweep", "--workload", "Dstream", "--architectures", "DTS",
                "--consumers", "1", "2", "--messages", "4"]
 
 
-def test_cli_backend_thread_matches_serial(capsys):
+def test_cli_backend_process_matches_serial(capsys):
     assert main(SMALL_SWEEP) == 0
     serial_out = capsys.readouterr().out
-    assert main([*SMALL_SWEEP, "--backend", "thread", "--jobs", "2"]) == 0
+    assert main([*SMALL_SWEEP, "--backend", "process", "--jobs", "2"]) == 0
     assert capsys.readouterr().out == serial_out
 
 

@@ -1,6 +1,7 @@
 """Regression tests for the scenario-grid satellite fixes: options leaks,
-empty axes, progress axes, jobs validation, run_seed bounds, thread
-fallback."""
+progress axes, jobs validation, run_seed bounds, thread fallback.  The
+product-grid checks (clean options, empty axes) live in
+test_sensitivity.py."""
 
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ from repro.harness import (
     ExperimentConfig,
     ScenarioPoint,
     ScenarioSet,
-    run_scenarios,
 )
 from repro.harness.runner import _call_with_timeout
 
@@ -36,31 +36,8 @@ def tiny_config(**overrides):
 
 
 # ---------------------------------------------------------------------------
-# grid: architecture_options must not leak across the architecture axis
+# deployments: architecture_options must not leak across architectures
 # ---------------------------------------------------------------------------
-
-def test_grid_does_not_leak_base_options_into_other_architectures():
-    base = tiny_config(architecture="PRS(HAProxy)",
-                       architecture_options={"num_connections": 2})
-    scenarios = ScenarioSet.grid(base,
-                                 architectures=["PRS(HAProxy)", "DTS", "MSS"])
-    by_label = {p.label: p.config.architecture_options for p in scenarios}
-    assert by_label["PRS(HAProxy)"] == {"num_connections": 2}
-    assert by_label["DTS"] == {}
-    assert by_label["MSS"] == {}
-    # End to end: pre-fix, the leaked PRS option crashed the DTS factory
-    # with an unexpected-keyword TypeError.
-    outcomes = run_scenarios(scenarios)
-    assert [o.point.label for o in outcomes] == ["PRS(HAProxy)", "DTS", "MSS"]
-    assert all(o.ok for o in outcomes)
-
-
-def test_grid_base_architecture_keeps_its_own_options():
-    base = tiny_config(architecture="PRS(HAProxy)",
-                       architecture_options={"num_connections": 4})
-    [point] = ScenarioSet.grid(base)
-    assert point.config.architecture_options == {"num_connections": 4}
-
 
 def test_deployments_do_not_leak_base_options_either():
     base = ExperimentConfig(architecture="PRS(HAProxy)",
@@ -69,22 +46,6 @@ def test_deployments_do_not_leak_base_options_either():
                                                   consumer_nodes=2))
     scenarios = ScenarioSet.deployments(["DTS", "MSS"], base)
     assert all(p.config.architecture_options == {} for p in scenarios)
-
-
-# ---------------------------------------------------------------------------
-# grid: explicitly empty axes fail loudly, None keeps the base value
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("axis", ["architectures", "workloads", "patterns",
-                                  "consumer_counts", "seeds"])
-def test_grid_rejects_explicitly_empty_axis(axis):
-    with pytest.raises(ValueError, match=f"axis '{axis}'"):
-        ScenarioSet.grid(tiny_config(), **{axis: []})
-
-
-def test_grid_none_axis_still_keeps_base_value():
-    [point] = ScenarioSet.grid(tiny_config(seed=9), seeds=None)
-    assert point.config.seed == 9
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +62,7 @@ def test_consumer_sweep_progress_receives_full_axes():
         ("DTS", 1), ("DTS", 2)]
     for _, consumers, axes in seen:
         assert axes["consumers"] == consumers
-        assert set(axes) == {"workload", "pattern", "consumers", "seed"}
+        assert set(axes) == {"architecture", "consumers"}
 
 
 def test_progress_tolerates_points_without_consumer_axis():

@@ -1,11 +1,11 @@
-"""Sharded result-cache layout: shard files, migration, partial flushes."""
+"""Sharded result-cache layout: shard files, the single-file refusal,
+partial flushes."""
 
 from __future__ import annotations
 
 import glob
 import json
 import os
-import shutil
 
 import pytest
 
@@ -14,6 +14,7 @@ from repro.harness import (
     ExperimentConfig,
     ResultCache,
     ScenarioPoint,
+    Session,
     code_fingerprint,
     run_scenarios,
 )
@@ -52,7 +53,7 @@ def shard_files(path: str) -> list[str]:
 def test_cache_writes_one_shard_per_key_prefix(tmp_path):
     path = str(tmp_path / "cache")
     points = distinct_prefix_points(2)
-    run_scenarios(points, cache=ResultCache(path))
+    run_scenarios(points, session=Session(cache=ResultCache(path)))
     assert os.path.isdir(path)
     names = {os.path.basename(f) for f in shard_files(path)}
     assert names == {f"{p.cache_key()[:2]}.json" for p in points}
@@ -67,66 +68,33 @@ def test_flush_rewrites_only_dirty_shards(tmp_path):
     path = str(tmp_path / "cache")
     first, second = distinct_prefix_points(2)
     cache = ResultCache(path)
-    run_scenarios([first], cache=cache)
+    run_scenarios([first], session=Session(cache=cache))
     first_shard = os.path.join(path, f"{first.cache_key()[:2]}.json")
     before = os.stat(first_shard).st_mtime_ns
 
-    run_scenarios([second], cache=cache)
+    run_scenarios([second], session=Session(cache=cache))
     assert os.stat(first_shard).st_mtime_ns == before  # untouched
     assert os.path.exists(os.path.join(path,
                                        f"{second.cache_key()[:2]}.json"))
 
 
-def test_single_file_cache_auto_migrates(tmp_path):
-    # Produce a sharded cache, then flatten it into the legacy layout.
-    sharded = str(tmp_path / "sharded")
-    points = distinct_prefix_points(2)
-    run_scenarios(points, cache=ResultCache(sharded))
-    entries: dict = {}
-    for shard in shard_files(sharded):
-        entries.update(json.load(open(shard))["entries"])
-
-    legacy = str(tmp_path / "cache.json")
-    with open(legacy, "w") as handle:
-        json.dump({"version": 1, "entries": entries}, handle)
-
-    migrated = ResultCache(legacy)
-    assert os.path.isdir(legacy)  # the file became a shard directory
-    assert not os.path.exists(f"{legacy}.migrating")
-    assert len(migrated) == len(points)
-    for point in points:
-        assert point in migrated
-        assert migrated.load(point) is not None
-    # And the migrated cache serves a sweep without recomputation.
-    outcomes = run_scenarios(points, cache=ResultCache(legacy))
-    assert all(outcome.cached for outcome in outcomes)
-
-
-def test_interrupted_migration_is_recovered_on_next_open(tmp_path):
-    """A crash between renaming the legacy file and writing its shards
-    strands everything in <path>.migrating; the next open folds it back."""
-    path = str(tmp_path / "cache")
-    points = distinct_prefix_points(2)
-    run_scenarios(points, cache=ResultCache(path))
-    entries: dict = {}
-    for shard in shard_files(path):
-        entries.update(json.load(open(shard))["entries"])
-    shutil.rmtree(path)  # shards plus their persistent .lock files
-    # Simulate the crash window: backup written, no shards yet.
-    with open(f"{path}.migrating", "w") as handle:
-        json.dump({"version": 1, "entries": entries}, handle)
-
-    recovered = ResultCache(path)
-    assert len(recovered) == len(points)
-    assert all(point in recovered for point in points)
-    assert not os.path.exists(f"{path}.migrating")
-    assert len(shard_files(path)) == 2  # resharded onto disk
+def test_single_file_cache_is_refused(tmp_path):
+    """A cache is a directory of shards: a path that is a regular file
+    (the pre-sharding layout) is refused and left untouched."""
+    path = tmp_path / "cache.json"
+    payload = json.dumps({"version": 1, "entries": {}})
+    path.write_text(payload)
+    with pytest.raises(ValueError, match="a result cache is a directory"
+                       ) as refusal:
+        ResultCache(str(path))
+    assert str(path) in str(refusal.value)
+    assert path.read_text() == payload
 
 
 def test_corrupt_shard_is_quarantined_not_fatal(tmp_path):
     path = str(tmp_path / "cache")
     points = distinct_prefix_points(2)
-    run_scenarios(points, cache=ResultCache(path))
+    run_scenarios(points, session=Session(cache=ResultCache(path)))
     victim, survivor = shard_files(path)
     with open(victim, "w") as handle:
         handle.write("{\"version\": 1, \"entries\": {\"trunc")
@@ -150,7 +118,7 @@ def test_unknown_shard_version_still_raises(tmp_path):
 def test_stale_eviction_deletes_emptied_shard(tmp_path):
     path = str(tmp_path / "cache")
     [point] = distinct_prefix_points(1)
-    run_scenarios([point], cache=ResultCache(path))
+    run_scenarios([point], session=Session(cache=ResultCache(path)))
     [shard] = shard_files(path)
     payload = json.load(open(shard))
     for entry in payload["entries"].values():
@@ -178,15 +146,16 @@ def test_sharded_cache_resumes_interrupted_sweep(tmp_path):
             raise KeyboardInterrupt
         completed["count"] += 1
 
+    cache = ResultCache(path, autosave_min_s=0.0)
     with pytest.raises(KeyboardInterrupt):
-        run_scenarios(points, cache=ResultCache(path, autosave_min_s=0.0),
+        run_scenarios(points, session=Session(cache=cache),
                       progress=interrupt_after_two)
 
     on_disk = ResultCache(path)
     cached_before = {p.cache_key() for p in points if p in on_disk}
     assert 0 < len(cached_before) < len(points)
 
-    outcomes = run_scenarios(points, cache=ResultCache(path))
+    outcomes = run_scenarios(points, session=Session(cache=ResultCache(path)))
     assert [outcome.cached for outcome in outcomes] == [
         point.cache_key() in cached_before for point in points]
     resumed = ResultCache(path)

@@ -16,7 +16,7 @@ from repro.harness import (
     ResultCache,
     ScenarioPoint,
     ScenarioSet,
-    SerialBackend,
+    Session,
     code_fingerprint,
     run_scenarios,
 )
@@ -57,6 +57,15 @@ def rows_payload(rows) -> str:
 # Corrupt / truncated cache files
 # ---------------------------------------------------------------------------
 
+def _cache_with_shard(tmp_path, content: str):
+    """A cache directory holding one shard file with ``content``."""
+    path = tmp_path / "cache"
+    path.mkdir(exist_ok=True)
+    shard = path / "ab.json"
+    shard.write_text(content)
+    return path, shard
+
+
 @pytest.mark.parametrize("content", [
     "{\"version\": 1, \"entries\": {\"trunc",  # truncated mid-write
     "not json at all",
@@ -64,35 +73,33 @@ def rows_payload(rows) -> str:
     "",                                        # zero-byte file
 ])
 def test_corrupt_cache_is_quarantined_not_fatal(tmp_path, content):
-    path = tmp_path / "cache.json"
-    path.write_text(content)
+    path, shard = _cache_with_shard(tmp_path, content)
     with pytest.warns(RuntimeWarning, match="corrupt"):
         cache = ResultCache(str(path))
     assert len(cache) == 0
-    # The bad file moved aside so the evidence survives...
-    quarantined = glob.glob(str(path) + ".corrupt*")
+    # The bad shard moved aside so the evidence survives...
+    quarantined = glob.glob(str(shard) + ".corrupt*")
     assert len(quarantined) == 1
     assert open(quarantined[0]).read() == content
     # ...and the cache is fully usable: points recompute and persist.
     [outcome] = run_scenarios([ScenarioPoint(config=tiny_config())],
-                              cache=cache)
+                              session=Session(cache=cache))
     assert not outcome.cached
     assert ResultCache(str(path)).load(
         ScenarioPoint(config=tiny_config())) is not None
 
 
 def test_repeated_corruption_gets_distinct_quarantine_names(tmp_path):
-    path = tmp_path / "cache.json"
     for _ in range(2):
-        path.write_text("garbage")
+        path, shard = _cache_with_shard(tmp_path, "garbage")
         with pytest.warns(RuntimeWarning):
             ResultCache(str(path))
-    assert len(glob.glob(str(path) + ".corrupt*")) == 2
+    assert len(glob.glob(str(shard) + ".corrupt*")) == 2
 
 
 def test_unknown_cache_version_still_raises(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"version": 99, "entries": {}}))
+    path, _ = _cache_with_shard(
+        tmp_path, json.dumps({"version": 99, "entries": {}}))
     with pytest.raises(ValueError, match="version"):
         ResultCache(str(path))
 
@@ -138,14 +145,14 @@ def _tamper_fingerprint(path: str) -> None:
 def test_stale_fingerprint_invalidates_entry(tmp_path):
     path = str(tmp_path / "cache.json")
     point = ScenarioPoint(config=tiny_config())
-    run_scenarios([point], cache=ResultCache(path))
+    run_scenarios([point], session=Session(cache=ResultCache(path)))
 
     _tamper_fingerprint(path)
     cache = ResultCache(path)
     assert point not in cache
     assert cache.load(point) is None
     assert cache.stale_evicted == 1
-    [outcome] = run_scenarios([point], cache=cache)
+    [outcome] = run_scenarios([point], session=Session(cache=cache))
     assert not outcome.cached  # recomputed, not served stale
     # The recomputed entry carries the current fingerprint again.
     entries = _cache_entries(path)
@@ -155,12 +162,12 @@ def test_stale_fingerprint_invalidates_entry(tmp_path):
 def test_allow_stale_serves_old_entries(tmp_path):
     path = str(tmp_path / "cache.json")
     point = ScenarioPoint(config=tiny_config())
-    [fresh] = run_scenarios([point], cache=ResultCache(path))
+    [fresh] = run_scenarios([point], session=Session(cache=ResultCache(path)))
 
     _tamper_fingerprint(path)
     cache = ResultCache(path, allow_stale=True)
     assert point in cache
-    [served] = run_scenarios([point], cache=cache)
+    [served] = run_scenarios([point], session=Session(cache=cache))
     assert served.cached
     assert (json.dumps(served.result.to_json_dict(), sort_keys=True)
             == json.dumps(fresh.result.to_json_dict(), sort_keys=True))
@@ -170,7 +177,7 @@ def test_pre_fingerprint_entries_are_treated_as_stale(tmp_path):
     # PR-1-era caches have no "fingerprint" field at all.
     path = str(tmp_path / "cache.json")
     point = ScenarioPoint(config=tiny_config())
-    run_scenarios([point], cache=ResultCache(path))
+    run_scenarios([point], session=Session(cache=ResultCache(path)))
 
     def drop(entry):
         del entry["fingerprint"]
@@ -198,8 +205,9 @@ def test_mid_kill_leaves_completed_points_on_disk(tmp_path, monkeypatch):
     monkeypatch.setattr(runner_module, "execute_point", die_on_third)
     # autosave_min_s=0: persist after every point so the test is exact
     # (the default throttles full-file rewrites to about one per second).
+    cache = ResultCache(path, autosave_min_s=0.0)
     with pytest.raises(KeyboardInterrupt):
-        run_scenarios(points, cache=ResultCache(path, autosave_min_s=0.0))
+        run_scenarios(points, session=Session(cache=cache))
 
     # run_scenarios never reached its final save; the streaming autosave did.
     survivors = ResultCache(path)
@@ -213,7 +221,7 @@ def test_interrupted_pool_sweep_resumes_from_partial_cache(tmp_path,
     """The acceptance scenario: kill a ProcessPoolBackend sweep midway,
     re-run with the cache, and the figure comes out bit-identical to a
     clean serial run while only the missing points execute."""
-    clean = figure4(**figure_kwargs(), backend=SerialBackend())
+    clean = figure4(**figure_kwargs(), session=Session(backend="serial"))
 
     path = str(tmp_path / "cache.json")
     # The exact point grid figure4 builds internally (cache keys are content
@@ -221,10 +229,9 @@ def test_interrupted_pool_sweep_resumes_from_partial_cache(tmp_path,
     from repro.core.figures import _base_config
     base = _base_config("Dstream", "work_sharing", messages_per_producer=4,
                         runs=1, seed=1, testbed=tiny_testbed())
-    scenarios = ScenarioSet.grid(
-        base, architectures=["DTS", "MSS"],
-        workloads=["Dstream"], patterns=["work_sharing"],
-        consumer_counts=[1, 2])
+    scenarios = ScenarioSet.product(base, {
+        "architecture": ["DTS", "MSS"], "workload": ["Dstream"],
+        "pattern": ["work_sharing"], "consumers": [1, 2]})
 
     interrupted = {"completed": 0}
 
@@ -233,9 +240,10 @@ def test_interrupted_pool_sweep_resumes_from_partial_cache(tmp_path,
             raise KeyboardInterrupt
         interrupted["completed"] += 1
 
+    pool = ProcessPoolBackend(2, start_method="fork")
+    cache = ResultCache(path, autosave_min_s=0.0)
     with pytest.raises(KeyboardInterrupt):
-        run_scenarios(scenarios, cache=ResultCache(path, autosave_min_s=0.0),
-                      backend=ProcessPoolBackend(2, start_method="fork"),
+        run_scenarios(scenarios, session=Session(backend=pool, cache=cache),
                       progress=interrupt_after_two)
 
     on_disk = ResultCache(path)
@@ -253,8 +261,7 @@ def test_interrupted_pool_sweep_resumes_from_partial_cache(tmp_path,
 
     monkeypatch.setattr(runner_module, "execute_point", marking_execute)
     resumed = figure4(**figure_kwargs(),
-                      backend=ProcessPoolBackend(2, start_method="fork"),
-                      cache=ResultCache(path))
+                      session=Session(backend=pool, cache=path))
 
     executed = {os.path.basename(p) for p in glob.glob(str(marker_dir / "*"))}
     cached_keys = {point.cache_key() for point in scenarios
@@ -269,15 +276,15 @@ def test_incremental_figure_equals_from_scratch_figure(tmp_path):
     path = str(tmp_path / "cache.json")
     kwargs = figure_kwargs()
     from_scratch = figure4(**kwargs)
-    primed = figure4(**kwargs, cache=ResultCache(path))
+    primed = figure4(**kwargs, session=Session(cache=path))
     assert rows_payload(primed.rows) == rows_payload(from_scratch.rows)
 
     # Second regeneration: everything is served from the cache.
-    again = figure4(**kwargs, cache=ResultCache(path))
+    again = figure4(**kwargs, session=Session(cache=path))
     assert rows_payload(again.rows) == rows_payload(from_scratch.rows)
 
     # A wider regeneration reuses the cached subset and only adds points.
     wider_kwargs = dict(kwargs, consumer_counts=(1, 2, 4))
-    wider_cached = figure4(**wider_kwargs, cache=ResultCache(path))
+    wider_cached = figure4(**wider_kwargs, session=Session(cache=path))
     wider_clean = figure4(**wider_kwargs)
     assert rows_payload(wider_cached.rows) == rows_payload(wider_clean.rows)

@@ -7,7 +7,7 @@ The fault-injection contract has three legs:
   tests in test_determinism_matrix.py pin the absolute bytes; here we pin
   the None/inactive equivalence).
 * An *active* plan is a pure function of ``(seed, plan, topology)``: the
-  same chaos sweep is byte-identical across serial, process and thread
+  same chaos sweep is byte-identical across the serial and process
   backends, and each fault kind draws from its own derived stream so
   enabling one axis never shifts another's schedule.
 * Faults degrade, they do not corrupt: runs complete, and with aggregate
@@ -30,8 +30,7 @@ from repro.harness import (
     ExperimentConfig,
     ProcessPoolBackend,
     ScenarioSet,
-    SerialBackend,
-    ThreadPoolBackend,
+    Session,
     run_scenarios,
 )
 from repro.simkit import RandomStreams
@@ -177,12 +176,12 @@ def _chaos_scenarios():
 
 @pytest.mark.parametrize("parallel_backend", [
     lambda: ProcessPoolBackend(2),
-    lambda: ThreadPoolBackend(2),
-], ids=["process", "thread"])
+], ids=["process"])
 def test_chaos_sweep_byte_identical_across_backends(parallel_backend):
     scenarios = _chaos_scenarios()
-    serial = run_scenarios(scenarios, backend=SerialBackend())
-    parallel = run_scenarios(scenarios, backend=parallel_backend())
+    serial = run_scenarios(scenarios, session=Session(backend="serial"))
+    parallel = run_scenarios(scenarios,
+                             session=Session(backend=parallel_backend()))
     assert _payloads(serial) == _payloads(parallel)
     assert ([o.point.cache_key() for o in serial]
             == [o.point.cache_key() for o in parallel])
@@ -192,7 +191,7 @@ def test_product_accepts_fault_axes_on_faults_none_base():
     """Sweeping faults.* from a fault-free base auto-attaches a plan."""
     scenarios = ScenarioSet.product(
         tiny_config(), {"faults.broker_kill_rate": [0.0, 1.0]})
-    outcomes = run_scenarios(scenarios, backend=SerialBackend())
+    outcomes = run_scenarios(scenarios, session=Session(backend="serial"))
     assert len(outcomes) == 2
     assert [o.point.config.faults.broker_kill_rate for o in outcomes] == \
         [0.0, 1.0]
@@ -220,7 +219,7 @@ def test_failure_rows_carry_fault_and_population_coordinates(monkeypatch):
     base = tiny_config(faults=FaultPlan(), population=3)
     sweep = sensitivity_sweep(
         base, {"faults.broker_kill_rate": [0.0, 1.0]},
-        policy=ExecutionPolicy(on_error="record"))
+        session=Session(policy=ExecutionPolicy(on_error="record")))
     assert len(sweep.failures) == 1
     row = sweep.failures[0].as_row()
     assert row["faults.broker_kill_rate"] == 1.0

@@ -1,10 +1,11 @@
 """Cross-backend determinism matrix.
 
-Every ScenarioSet constructor (grid, consumer_sweep, deployments), run under
-SerialBackend, ProcessPoolBackend(jobs=2) and ThreadPoolBackend(jobs=2),
-must produce byte-identical JSON payloads: each simulation derives all of
-its randomness from the point's config, never from process, thread or
-scheduling state.
+Three scenario sets — a product grid over architecture, workload and
+seed ("grid"), the (architecture, consumers) sweep behind Figures 4-8
+("consumer_sweep") and the deployment points ("deployments") — run under
+SerialBackend and ProcessPoolBackend(jobs=2), must produce byte-identical
+JSON payloads: each simulation derives all of its randomness from the
+point's config, never from process or scheduling state.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from repro.harness import (
     ExperimentConfig,
     ProcessPoolBackend,
     ScenarioSet,
-    SerialBackend,
     Session,
-    ThreadPoolBackend,
     run_scenarios,
 )
 
@@ -44,12 +43,12 @@ def tiny_config(**overrides):
 def _scenario_sets():
     base = tiny_config()
     return {
-        "grid": ScenarioSet.grid(
-            base, architectures=["DTS", "MSS"],
-            workloads=["Dstream", "Lstream"], seeds=[1, 2]),
-        "consumer_sweep": ScenarioSet.consumer_sweep(
-            base, architectures=["DTS", "PRS(HAProxy)"],
-            consumer_counts=[1, 2, 4]),
+        "grid": ScenarioSet.product(base, {
+            "architecture": ["DTS", "MSS"],
+            "workload": ["Dstream", "Lstream"], "seed": [1, 2]}),
+        "consumer_sweep": ScenarioSet.product(base, {
+            "architecture": ["DTS", "PRS(HAProxy)"],
+            "consumers": [1, 2, 4]}),
         "deployments": ScenarioSet.deployments(
             ["DTS", "PRS(HAProxy)", "MSS"], base),
     }
@@ -74,7 +73,8 @@ def _payloads(outcomes) -> list[str]:
 #: must reproduce these bytes exactly.  Regenerate only for a deliberate
 #: semantic change:
 #:
-#:     payloads = _payloads(run_scenarios(scenarios, backend=SerialBackend()))
+#:     payloads = _payloads(run_scenarios(scenarios,
+#:                                        session=Session(backend="serial")))
 #:     hashlib.sha256("\n".join(payloads).encode()).hexdigest()
 GOLDEN_DIGESTS = {
     "grid":
@@ -88,15 +88,15 @@ GOLDEN_DIGESTS = {
 
 @pytest.mark.parametrize("parallel_backend", [
     lambda: ProcessPoolBackend(2),
-    lambda: ThreadPoolBackend(2),
-], ids=["process", "thread"])
+], ids=["process"])
 @pytest.mark.parametrize("constructor", ["grid", "consumer_sweep",
                                          "deployments"])
 def test_parallel_payloads_byte_identical_to_serial(constructor,
                                                     parallel_backend):
     scenarios = _scenario_sets()[constructor]
-    serial = run_scenarios(scenarios, backend=SerialBackend())
-    parallel = run_scenarios(scenarios, backend=parallel_backend())
+    serial = run_scenarios(scenarios, session=Session(backend="serial"))
+    parallel = run_scenarios(scenarios,
+                             session=Session(backend=parallel_backend()))
     assert _payloads(serial) == _payloads(parallel)
     # Ordering survives the pool's out-of-order completion too.
     assert ([o.point.cache_key() for o in serial]
@@ -109,7 +109,8 @@ def test_fast_kernel_payloads_match_pre_optimization_golden(constructor):
     """The optimized kernel reproduces the pre-optimization results
     byte-for-byte (see GOLDEN_DIGESTS for the recording recipe)."""
     scenarios = _scenario_sets()[constructor]
-    payloads = _payloads(run_scenarios(scenarios, backend=SerialBackend()))
+    payloads = _payloads(run_scenarios(scenarios,
+                                       session=Session(backend="serial")))
     digest = hashlib.sha256("\n".join(payloads).encode()).hexdigest()
     assert digest == GOLDEN_DIGESTS[constructor]
 

@@ -6,7 +6,7 @@ The population model's contract has two halves:
   multiplicity plumbing and the weighted-statistics machinery must not
   perturb a single byte of the historical results (the determinism-matrix
   goldens enforce this against the pre-population recording; here we also
-  pin that the opt-in ``populations`` grid axis at K=1 reproduces the
+  pin that the opt-in ``population`` grid axis at K=1 reproduces the
   axis-free results exactly);
 * K>1 conserves the *logical* client fleet — consumed counts, replies and
   weighted metric reductions reflect num_producers x K clients while the
@@ -26,8 +26,7 @@ from repro.harness import (
     ExperimentConfig,
     ProcessPoolBackend,
     ScenarioSet,
-    SerialBackend,
-    ThreadPoolBackend,
+    Session,
     run_experiment,
     run_scenarios,
 )
@@ -65,16 +64,13 @@ def _digest(outcomes) -> str:
 # ---------------------------------------------------------------------------
 
 def test_population_axis_at_one_reproduces_axis_free_results():
-    """grid(populations=[1]) emits byte-identical result payloads to the
+    """A population=[1] axis emits byte-identical result payloads to the
     same grid without the population axis (only cache keys may differ)."""
     base = tiny_config()
-    without = run_scenarios(
-        ScenarioSet.grid(base, architectures=["DTS", "MSS"], seeds=[1, 2]),
-        backend=SerialBackend())
-    with_axis = run_scenarios(
-        ScenarioSet.grid(base, architectures=["DTS", "MSS"],
-                         populations=[1], seeds=[1, 2]),
-        backend=SerialBackend())
+    without = run_scenarios(ScenarioSet.product(base, {
+        "architecture": ["DTS", "MSS"], "seed": [1, 2]}))
+    with_axis = run_scenarios(ScenarioSet.product(base, {
+        "architecture": ["DTS", "MSS"], "population": [1], "seed": [1, 2]}))
     assert _payloads(without) == _payloads(with_axis)
 
 
@@ -147,9 +143,9 @@ def test_weighted_result_round_trips_through_json():
 # ---------------------------------------------------------------------------
 
 def _population_scenarios() -> ScenarioSet:
-    return ScenarioSet.grid(
-        tiny_config(), architectures=["DTS", "MSS"],
-        populations=[1, 50], seeds=[1, 2])
+    return ScenarioSet.product(tiny_config(), {
+        "architecture": ["DTS", "MSS"], "population": [1, 50],
+        "seed": [1, 2]})
 
 
 #: sha256 over the newline-joined serial JSON payloads of the population
@@ -157,25 +153,25 @@ def _population_scenarios() -> ScenarioSet:
 #: only for a deliberate semantic change:
 #:
 #:     digest = _digest(run_scenarios(_population_scenarios(),
-#:                                    backend=SerialBackend()))
+#:                                    session=Session(backend="serial")))
 POPULATION_GOLDEN = (
     "cbcccd5307bc19e4e401b933bab96f58d4969deaffcd81307572c19e7464143f")
 
 
 def test_population_grid_matches_golden():
     digest = _digest(run_scenarios(_population_scenarios(),
-                                   backend=SerialBackend()))
+                                   session=Session(backend="serial")))
     assert digest == POPULATION_GOLDEN
 
 
 @pytest.mark.parametrize("parallel_backend", [
     lambda: ProcessPoolBackend(2),
-    lambda: ThreadPoolBackend(2),
-], ids=["process", "thread"])
+], ids=["process"])
 def test_population_grid_parallel_byte_identical(parallel_backend):
     scenarios = _population_scenarios()
-    serial = run_scenarios(scenarios, backend=SerialBackend())
-    parallel = run_scenarios(scenarios, backend=parallel_backend())
+    serial = run_scenarios(scenarios, session=Session(backend="serial"))
+    parallel = run_scenarios(scenarios,
+                             session=Session(backend=parallel_backend()))
     assert _payloads(serial) == _payloads(parallel)
 
 

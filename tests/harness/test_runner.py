@@ -19,6 +19,7 @@ from repro.harness import (
     ScenarioPoint,
     ScenarioSet,
     SerialBackend,
+    Session,
     resolve_backend,
     run_scenarios,
 )
@@ -66,27 +67,6 @@ def tiny_config(**overrides):
 # ScenarioSet builders
 # ---------------------------------------------------------------------------
 
-def test_grid_orders_architecture_major():
-    scenarios = ScenarioSet.grid(tiny_config(), architectures=["DTS", "MSS"],
-                                 consumer_counts=[1, 2])
-    coords = [(p.label, p.axes["consumers"]) for p in scenarios]
-    assert coords == [("DTS", 1), ("DTS", 2), ("MSS", 1), ("MSS", 2)]
-
-
-def test_grid_spans_workloads_patterns_and_seeds():
-    scenarios = ScenarioSet.grid(
-        tiny_config(), workloads=["Dstream", "Lstream"],
-        patterns=["work_sharing", "work_sharing_feedback"], seeds=[1, 2])
-    assert len(scenarios) == 8  # 2 workloads x 2 patterns x 2 seeds
-    assert {p.config.workload for p in scenarios} == {"Dstream", "Lstream"}
-    assert {p.config.seed for p in scenarios} == {1, 2}
-
-
-def test_grid_equal_producers_scales_producers_with_consumers():
-    scenarios = ScenarioSet.grid(tiny_config(), consumer_counts=[4])
-    assert scenarios[0].config.num_producers == 4
-
-
 def test_deployment_points_derive_distinct_seeds():
     scenarios = ScenarioSet.deployments(["DTS", "PRS(HAProxy)", "MSS"])
     seeds = [p.config.seed for p in scenarios]
@@ -130,15 +110,16 @@ def test_pool_results_bit_identical_to_serial():
     sweep = ConsumerSweep(tiny_config(), architectures=["DTS", "MSS"],
                           consumer_counts=[1, 2])
     serial = sweep.run()
-    pooled = sweep.run(jobs=2)
+    pooled = sweep.run(session=Session(jobs=2))
     assert serial.rows() == pooled.rows()
     assert same_rows(serial.rows("median_rtt_s"), pooled.rows("median_rtt_s"))
 
 
 def test_pool_preserves_submission_order():
-    scenarios = ScenarioSet.grid(tiny_config(), architectures=["DTS", "MSS"],
-                                 consumer_counts=[1, 2])
-    outcomes = run_scenarios(scenarios, backend=ProcessPoolBackend(2))
+    scenarios = ScenarioSet.product(tiny_config(), {
+        "architecture": ["DTS", "MSS"], "consumers": [1, 2]})
+    outcomes = run_scenarios(
+        scenarios, session=Session(backend=ProcessPoolBackend(2)))
     coords = [(o.point.label, o.point.axes["consumers"]) for o in outcomes]
     assert coords == [("DTS", 1), ("DTS", 2), ("MSS", 1), ("MSS", 2)]
 
@@ -170,7 +151,7 @@ def test_serial_backend_propagates_point_errors():
 def test_pool_backend_propagates_point_errors():
     points = [ScenarioPoint(config=tiny_config()), _crashing_point()]
     with pytest.raises(ScenarioError, match="DTS"):
-        run_scenarios(points, backend=ProcessPoolBackend(2))
+        run_scenarios(points, session=Session(backend=ProcessPoolBackend(2)))
 
 
 def test_execute_point_deployment_returns_report():
@@ -241,12 +222,12 @@ def test_cache_round_trip_and_reuse(tmp_path):
     point = ScenarioPoint(config=tiny_config())
 
     cache = ResultCache(path)
-    [first] = run_scenarios([point], cache=cache)
+    [first] = run_scenarios([point], session=Session(cache=cache))
     assert not first.cached
     assert point in cache
 
     reloaded = ResultCache(path)
-    [second] = run_scenarios([point], cache=reloaded)
+    [second] = run_scenarios([point], session=Session(cache=reloaded))
     assert second.cached
     assert same_rows([second.result.as_row()], [first.result.as_row()])
 
@@ -255,13 +236,14 @@ def test_cached_sweep_matches_fresh_sweep(tmp_path):
     path = str(tmp_path / "sweep.json")
     sweep = ConsumerSweep(tiny_config(), architectures=["DTS"],
                           consumer_counts=[1, 2])
-    fresh = sweep.run(cache=ResultCache(path))
-    cached = sweep.run(cache=ResultCache(path))
+    fresh = sweep.run(session=Session(cache=path))
+    cached = sweep.run(session=Session(cache=path))
     assert fresh.rows() == cached.rows()
 
 
 def test_cache_rejects_unknown_version(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"version": 99, "entries": {}}))
+    path = tmp_path / "bad"
+    path.mkdir()
+    (path / "ab.json").write_text(json.dumps({"version": 99, "entries": {}}))
     with pytest.raises(ValueError, match="version"):
         ResultCache(str(path))

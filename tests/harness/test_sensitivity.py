@@ -15,6 +15,8 @@ from repro.harness import (
     ProcessPoolBackend,
     ScenarioSet,
     SerialBackend,
+    Session,
+    run_scenarios,
     sensitivity_sweep,
 )
 
@@ -109,6 +111,11 @@ def test_product_architecture_axis_starts_from_clean_options():
     by_label = {p.label: p.config.architecture_options for p in scenarios}
     assert by_label["PRS(HAProxy)"] == {"num_connections": 2}
     assert by_label["DTS"] == {}
+    # End to end: a leaked PRS option would crash the DTS factory with an
+    # unexpected-keyword TypeError.
+    outcomes = run_scenarios(scenarios)
+    assert [o.point.label for o in outcomes] == ["PRS(HAProxy)", "DTS"]
+    assert all(o.ok for o in outcomes)
 
 
 def test_product_rejects_unknown_axis_and_names_valid_fields():
@@ -187,9 +194,10 @@ def test_sensitivity_sweep_series_requires_pinning_free_axes():
 def test_sensitivity_sweep_pool_bit_identical_to_serial():
     axes = {"architecture": ["DTS", "MSS"],
             "testbed.link_bandwidth_bps": [1e9, 100e9]}
-    serial = sensitivity_sweep(tiny_config(), axes, backend=SerialBackend())
-    pooled = sensitivity_sweep(tiny_config(), axes,
-                               backend=ProcessPoolBackend(2))
+    serial = sensitivity_sweep(tiny_config(), axes,
+                               session=Session(backend=SerialBackend()))
+    pooled = sensitivity_sweep(
+        tiny_config(), axes, session=Session(backend=ProcessPoolBackend(2)))
     assert serial.rows() == pooled.rows()
 
 

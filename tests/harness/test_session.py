@@ -1,10 +1,11 @@
 """Session API: construction, the named-backend registry, env/args
-constructors, the legacy-kwarg deprecation shim, and cross-backend
-byte-identity of the session vs legacy paths."""
+constructors, lifecycle, and the session as the only way to pass an
+execution context to a sweep entry point."""
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import pickle
 import warnings
@@ -18,11 +19,9 @@ from repro.harness import (
     ExperimentConfig,
     ProcessPoolBackend,
     ResultCache,
-    ScenarioPoint,
     ScenarioSet,
     SerialBackend,
     Session,
-    ThreadPoolBackend,
     backend_names,
     create_backend,
     register_backend,
@@ -30,15 +29,6 @@ from repro.harness import (
     run_scenarios,
     unregister_backend,
 )
-from repro.harness import session as session_module
-
-
-@pytest.fixture(autouse=True)
-def rearmed_legacy_warning():
-    """Each test sees the once-per-process warning as if fresh."""
-    session_module.reset_legacy_warning()
-    yield
-    session_module.reset_legacy_warning()
 
 
 def tiny_config(**overrides):
@@ -60,15 +50,6 @@ def one_point():
     return ScenarioSet().add_config(tiny_config())
 
 
-def sweep_json(sweep) -> str:
-    payload = {
-        architecture: {str(consumers): result.to_json_dict()
-                       for consumers, result in by_consumers.items()}
-        for architecture, by_consumers in sweep.results.items()
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
 # ---------------------------------------------------------------------------
 # Construction and the named-backend registry
 # ---------------------------------------------------------------------------
@@ -78,10 +59,7 @@ def test_named_backends_resolve():
     process = Session(backend="process", jobs=3)
     assert isinstance(process.backend, ProcessPoolBackend)
     assert process.backend.jobs == 3
-    thread = Session(backend="thread", jobs=2)
-    assert isinstance(thread.backend, ThreadPoolBackend)
-    assert thread.backend.jobs == 2
-    assert thread.backend_name == "thread"
+    assert process.backend_name == "process"
 
 
 def test_jobs_alone_picks_process_pool_else_serial():
@@ -91,7 +69,7 @@ def test_jobs_alone_picks_process_pool_else_serial():
 
 
 def test_explicit_backend_instance_wins():
-    backend = ThreadPoolBackend(2)
+    backend = ProcessPoolBackend(2)
     session = Session(backend=backend, jobs=7)
     assert session.backend is backend
     assert session.backend_name is None
@@ -121,8 +99,8 @@ def test_unknown_backend_name_lists_registry():
 
 
 def test_registry_round_trip_and_overwrite_guard():
-    assert {"serial", "process", "thread"} <= set(backend_names())
-    assert isinstance(resolve_backend("thread"), ThreadPoolBackend)
+    assert {"serial", "process"} <= set(backend_names())
+    assert isinstance(resolve_backend("process"), ProcessPoolBackend)
 
     class RecordingBackend(SerialBackend):
         def __init__(self, jobs=None):
@@ -164,12 +142,12 @@ def test_cache_path_is_opened_with_allow_stale(tmp_path):
 
 
 def test_session_is_picklable():
-    session = Session(backend="thread", jobs=2,
+    session = Session(backend="process", jobs=2,
                       policy=ExecutionPolicy(retries=1, on_error="record"))
     clone = pickle.loads(pickle.dumps(session))
-    assert isinstance(clone.backend, ThreadPoolBackend)
+    assert isinstance(clone.backend, ProcessPoolBackend)
     assert clone.policy == session.policy
-    assert clone.backend_name == "thread"
+    assert clone.backend_name == "process"
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +212,7 @@ def test_describe_is_flat_and_json_safe(tmp_path):
 def test_from_env_reads_every_variable(tmp_path):
     session = Session.from_env({
         "REPRO_JOBS": "2",
-        "REPRO_BACKEND": "thread",
+        "REPRO_BACKEND": "process",
         "REPRO_CACHE": str(tmp_path / "cache"),
         "REPRO_ALLOW_STALE": "yes",
         "REPRO_TIMEOUT": "5.5",
@@ -242,7 +220,7 @@ def test_from_env_reads_every_variable(tmp_path):
         "REPRO_BACKOFF": "0.25",
         "REPRO_ON_ERROR": "record",
     })
-    assert isinstance(session.backend, ThreadPoolBackend)
+    assert isinstance(session.backend, ProcessPoolBackend)
     assert session.jobs == 2
     assert session.cache.allow_stale
     assert session.policy == ExecutionPolicy(timeout_s=5.5, retries=3,
@@ -297,21 +275,45 @@ def test_from_args_without_execution_attrs_is_default():
 
 
 # ---------------------------------------------------------------------------
-# The legacy-kwarg deprecation shim
+# Session is the only execution context an entry point accepts
 # ---------------------------------------------------------------------------
 
-def test_legacy_kwargs_warn_exactly_once_per_process():
-    scenarios = one_point()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        run_scenarios(scenarios, jobs=1)
-        run_scenarios(scenarios, jobs=1)
+def _entry_points():
+    from repro.core import figures, study, tables
+    from repro.harness import sweep
+
+    functions = [run_scenarios, ConsumerSweep.run, sweep.sensitivity_sweep,
+                 study.compare_architectures, study.deployment_comparison,
+                 tables.architecture_comparison_rows,
+                 tables.architecture_comparison_text]
+    functions += [getattr(figures, name) for name in figures.__all__
+                  if name.startswith(("figure", "ablation_"))]
+    return functions
+
+
+def test_entry_points_take_session_and_no_legacy_keywords():
+    functions = _entry_points()
+    assert len(functions) == 20
+    for function in functions:
+        params = inspect.signature(function).parameters
+        assert "session" in params, function.__qualname__
+        assert not {"jobs", "backend", "cache", "policy"} & set(params), (
+            function.__qualname__)
+
+
+@pytest.mark.parametrize("keyword", ["jobs", "backend", "cache", "policy"])
+def test_legacy_keyword_is_a_type_error(keyword):
+    from repro.core import compare_architectures
+
+    with pytest.raises(TypeError, match=keyword):
+        run_scenarios(one_point(), **{keyword: None})
+    with pytest.raises(TypeError, match=keyword):
         ConsumerSweep(tiny_config(), architectures=["DTS"],
-                      consumer_counts=[2]).run(jobs=1)
-    deprecations = [entry for entry in caught
-                    if issubclass(entry.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    assert "session=" in str(deprecations[0].message)
+                      consumer_counts=[2]).run(**{keyword: None})
+    # Its **config_overrides pass the keyword on to ExperimentConfig,
+    # which has no such field either.
+    with pytest.raises(TypeError, match=keyword):
+        compare_architectures(architectures=["DTS"], **{keyword: None})
 
 
 def test_session_path_does_not_warn():
@@ -321,90 +323,3 @@ def test_session_path_does_not_warn():
         run_scenarios(one_point(), session=Session())
     assert not [entry for entry in caught
                 if issubclass(entry.category, DeprecationWarning)]
-
-
-def test_mixing_session_and_legacy_kwargs_raises():
-    with pytest.raises(TypeError, match="session="):
-        run_scenarios(one_point(), session=Session(), jobs=2)
-    with pytest.raises(TypeError, match="jobs/policy"):
-        ConsumerSweep(tiny_config(), architectures=["DTS"],
-                      consumer_counts=[2]).run(
-            session=Session(), jobs=2, policy=ExecutionPolicy(retries=1))
-
-
-@pytest.mark.parametrize("backend_name", ["serial", "process", "thread"])
-def test_legacy_and_session_sweeps_byte_identical(backend_name):
-    """Acceptance: a legacy-kwarg call and the equivalent session= call
-    produce byte-identical SweepResult JSON on every named backend."""
-    base = tiny_config()
-    sweep_kwargs = dict(architectures=["DTS", "MSS"], consumer_counts=[1, 2])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = ConsumerSweep(base, **sweep_kwargs).run(
-            backend=resolve_backend(backend_name, 2))
-    with Session(backend=backend_name, jobs=2) as session:
-        modern = ConsumerSweep(base, **sweep_kwargs).run(session=session)
-    assert sweep_json(legacy) == sweep_json(modern)
-
-
-# ---------------------------------------------------------------------------
-# ThreadPoolBackend semantics
-# ---------------------------------------------------------------------------
-
-def test_thread_backend_preserves_submission_order():
-    scenarios = ScenarioSet.grid(tiny_config(),
-                                 architectures=["DTS", "MSS"],
-                                 consumer_counts=[1, 2])
-    serial = run_scenarios(scenarios, session=Session())
-    threaded = run_scenarios(scenarios, session=Session(backend="thread",
-                                                        jobs=4))
-    assert ([outcome.point.cache_key() for outcome in serial]
-            == [outcome.point.cache_key() for outcome in threaded])
-    assert ([json.dumps(outcome.result.to_json_dict(), sort_keys=True)
-             for outcome in serial]
-            == [json.dumps(outcome.result.to_json_dict(), sort_keys=True)
-                for outcome in threaded])
-
-
-def test_thread_backend_records_failures_under_policy(monkeypatch):
-    from repro.harness import runner as runner_module
-    real = runner_module.execute_point
-
-    def crash_on_marker(point):
-        if point.axes.get("crash"):
-            raise RuntimeError("injected crash")
-        return real(point)
-
-    monkeypatch.setattr(runner_module, "execute_point", crash_on_marker)
-    points = [
-        ScenarioPoint(config=tiny_config(), axes={"consumers": 2}),
-        ScenarioPoint(config=tiny_config(seed=2), axes={"crash": True}),
-        ScenarioPoint(config=tiny_config(seed=3), axes={"consumers": 2}),
-    ]
-    session = Session(backend="thread", jobs=2,
-                      policy=ExecutionPolicy(retries=1, on_error="record"))
-    outcomes = session.run(points)
-    assert [outcome.ok for outcome in outcomes] == [True, False, True]
-    assert outcomes[1].attempts == 2
-    assert "injected crash" in outcomes[1].error
-
-
-def test_thread_backend_single_job_falls_back_to_serial():
-    backend = ThreadPoolBackend(1)
-    results = backend.run(list(one_point()))
-    assert len(results) == 1 and results[0][0] is True
-
-
-def test_thread_backend_incremental_cache_persistence(tmp_path):
-    path = tmp_path / "cache"
-    scenarios = ScenarioSet.grid(tiny_config(), consumer_counts=[1, 2, 4])
-    with Session(backend="thread", jobs=2, cache=path) as session:
-        fresh = session.run(scenarios)
-    assert all(not outcome.cached for outcome in fresh)
-    with Session(cache=path) as session:
-        again = session.run(scenarios)
-    assert all(outcome.cached for outcome in again)
-    assert ([json.dumps(a.result.to_json_dict(), sort_keys=True)
-             for a in fresh]
-            == [json.dumps(b.result.to_json_dict(), sort_keys=True)
-                for b in again])
