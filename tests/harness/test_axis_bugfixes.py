@@ -1,7 +1,6 @@
 """Regression tests for the scenario-grid satellite fixes: options leaks,
-progress axes, jobs validation, run_seed bounds, thread fallback.  The
-product-grid checks (clean options, empty axes) live in
-test_sensitivity.py."""
+empty axes, progress axes, jobs validation, run_seed bounds, thread
+fallback.  The grid is built with ScenarioSet.product."""
 
 from __future__ import annotations
 
@@ -16,6 +15,7 @@ from repro.harness import (
     ExperimentConfig,
     ScenarioPoint,
     ScenarioSet,
+    run_scenarios,
 )
 from repro.harness.runner import _call_with_timeout
 
@@ -36,8 +36,31 @@ def tiny_config(**overrides):
 
 
 # ---------------------------------------------------------------------------
-# deployments: architecture_options must not leak across architectures
+# grid: architecture_options must not leak across the architecture axis
 # ---------------------------------------------------------------------------
+
+def test_grid_does_not_leak_base_options_into_other_architectures():
+    base = tiny_config(architecture="PRS(HAProxy)",
+                       architecture_options={"num_connections": 2})
+    scenarios = ScenarioSet.product(base, {
+        "architecture": ["PRS(HAProxy)", "DTS", "MSS"]})
+    by_label = {p.label: p.config.architecture_options for p in scenarios}
+    assert by_label["PRS(HAProxy)"] == {"num_connections": 2}
+    assert by_label["DTS"] == {}
+    assert by_label["MSS"] == {}
+    # End to end: a leaked PRS option would crash the DTS factory with an
+    # unexpected-keyword TypeError.
+    outcomes = run_scenarios(scenarios)
+    assert [o.point.label for o in outcomes] == ["PRS(HAProxy)", "DTS", "MSS"]
+    assert all(o.ok for o in outcomes)
+
+
+def test_grid_base_architecture_keeps_its_own_options():
+    base = tiny_config(architecture="PRS(HAProxy)",
+                       architecture_options={"num_connections": 4})
+    [point] = ScenarioSet.product(base, {"seed": [1]})
+    assert point.config.architecture_options == {"num_connections": 4}
+
 
 def test_deployments_do_not_leak_base_options_either():
     base = ExperimentConfig(architecture="PRS(HAProxy)",
@@ -46,6 +69,18 @@ def test_deployments_do_not_leak_base_options_either():
                                                   consumer_nodes=2))
     scenarios = ScenarioSet.deployments(["DTS", "MSS"], base)
     assert all(p.config.architecture_options == {} for p in scenarios)
+
+
+# ---------------------------------------------------------------------------
+# grid: explicitly empty axes fail loudly
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("axis", [
+    "architecture", "workload", "pattern", "consumers", "seed"],
+    ids=["architectures", "workloads", "patterns", "consumer_counts", "seeds"])
+def test_grid_rejects_explicitly_empty_axis(axis):
+    with pytest.raises(ValueError, match=f"axis '{axis}'.*empty"):
+        ScenarioSet.product(tiny_config(), {axis: []})
 
 
 # ---------------------------------------------------------------------------

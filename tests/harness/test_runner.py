@@ -67,6 +67,28 @@ def tiny_config(**overrides):
 # ScenarioSet builders
 # ---------------------------------------------------------------------------
 
+def test_grid_orders_architecture_major():
+    scenarios = ScenarioSet.product(tiny_config(), {
+        "architecture": ["DTS", "MSS"], "consumers": [1, 2]})
+    coords = [(p.label, p.axes["consumers"]) for p in scenarios]
+    assert coords == [("DTS", 1), ("DTS", 2), ("MSS", 1), ("MSS", 2)]
+
+
+def test_grid_spans_workloads_patterns_and_seeds():
+    scenarios = ScenarioSet.product(tiny_config(), {
+        "workload": ["Dstream", "Lstream"],
+        "pattern": ["work_sharing", "work_sharing_feedback"],
+        "seed": [1, 2]})
+    assert len(scenarios) == 8  # 2 workloads x 2 patterns x 2 seeds
+    assert {p.config.workload for p in scenarios} == {"Dstream", "Lstream"}
+    assert {p.config.seed for p in scenarios} == {1, 2}
+
+
+def test_grid_equal_producers_scales_producers_with_consumers():
+    scenarios = ScenarioSet.product(tiny_config(), {"consumers": [4]})
+    assert scenarios[0].config.num_producers == 4
+
+
 def test_deployment_points_derive_distinct_seeds():
     scenarios = ScenarioSet.deployments(["DTS", "PRS(HAProxy)", "MSS"])
     seeds = [p.config.seed for p in scenarios]
