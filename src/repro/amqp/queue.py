@@ -75,7 +75,6 @@ class ClassicQueue:
         # Per-message instruments, resolved by name exactly once.
         self._published_counter = self.monitor.counter("published")
         self._delivered_counter = self.monitor.counter("delivered")
-        self._depth_series = self.monitor.timeseries("depth")
         self._ready: deque[Message] = deque()
         self._ready_bytes = 0.0
         # Logical (multiplicity-weighted) message counts.  An aggregate
@@ -142,10 +141,8 @@ class ClassicQueue:
         self._ready_bytes += incoming_bytes
         self._ready_messages += multiplicity
         self.published += multiplicity
-        now = self.env.now
-        message.published_at = now
+        message.published_at = self.env.now
         self._published_counter.value += float(multiplicity)
-        self._depth_series.record(now, self._ready_messages + self._unacked_messages)
         self._notify()
         return PublishOutcome(True, "", self.name)
 

@@ -53,7 +53,6 @@ HOT_PATH_SLOTS_CLASSES = (
     ("simkit/monitor.py", "TimeSeries"),
     ("simkit/rand.py", "BatchedUniform"),
     ("netsim/message.py", "Message"),
-    ("netsim/message.py", "HopRecord"),
 )
 
 

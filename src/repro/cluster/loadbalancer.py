@@ -40,7 +40,6 @@ class HardwareLoadBalancer:
         # Per-message instruments, resolved by name exactly once.
         self._messages_counter = self.monitor.counter("messages")
         self._bytes_counter = self.monitor.counter("bytes")
-        self._delay_series = self.monitor.timeseries("delay")
         self._inflight = Resource(env, capacity=max_inflight)
         self._backends: list[Endpoint] = []
         self._cursor = 0
@@ -68,13 +67,11 @@ class HardwareLoadBalancer:
 
     # -- data path ------------------------------------------------------------
     def traverse(self, message: Message) -> Generator:
-        arrived = self.env.now
         with self._inflight.request() as slot:
             yield slot
             yield from self.host.traverse(message, tls=self.tls)
         self._messages_counter.value += float(message.multiplicity)
         self._bytes_counter.value += message.wire_bytes * message.multiplicity
-        self._delay_series.record(arrived, self.env.now - arrived)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<HardwareLoadBalancer {self.name} backends={len(self._backends)}>"

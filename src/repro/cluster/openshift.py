@@ -97,19 +97,16 @@ class IngressController:
         self.monitor = Monitor(f"ingress:{name}")
         # Per-message instruments, resolved by name exactly once.
         self._messages_counter = self.monitor.counter("messages")
-        self._delay_series = self.monitor.timeseries("delay")
         self._inflight = Resource(env, capacity=max_inflight)
 
     def add_route(self, hostname: str, backends: list[Endpoint]) -> None:
         self.route_controller.add_route(hostname, backends)
 
     def traverse(self, message: Message) -> Generator:
-        arrived = self.env.now
         with self._inflight.request() as slot:
             yield slot
             yield from self.host.traverse(message, tls=self.tls)
         self._messages_counter.value += float(message.multiplicity)
-        self._delay_series.record(arrived, self.env.now - arrived)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<IngressController {self.name} host={self.host.name}>"

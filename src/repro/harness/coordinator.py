@@ -11,6 +11,12 @@ The :class:`Coordinator` here does the same: it distributes the queue plan
 every producer/consumer app, and triggers its ``done`` event once the run's
 expected message/reply counts have been observed so the experiment can stop
 the simulation and reduce the metrics.
+
+Latency attribution by element kind (``hop_time_by_kind`` and
+``hop_count_by_kind``) folds the per-kind hop totals each consumed message
+carries (see :meth:`Message.record_hop
+<repro.netsim.message.Message.record_hop>`), so a consume costs O(kinds),
+not O(hops).
 """
 
 from __future__ import annotations
@@ -108,29 +114,18 @@ class Coordinator:
         if consumed_at is not None:
             self.latency_samples.append(consumed_at - message.created_at)
             self.latency_weights.append(float(multiplicity))
-        hops = message.hops
-        if hops:
-            # One pass over the hops feeds both aggregates.  The per-kind
-            # time is subtotalled per message before folding into the global
-            # dict so float summation order (and thus serialized results)
-            # matches the historical hop_breakdown()-based reduction exactly.
-            breakdown: dict[str, float] = {}
-            counts = self.hop_count_by_kind
-            for hop in hops:
-                kind = hop.kind
-                duration = hop.departed_at - hop.arrived_at
-                if kind in breakdown:
-                    breakdown[kind] += duration
-                else:
-                    breakdown[kind] = duration
-                # Hop counts are logical: an aggregate message's hop stands
-                # for one traversal per represented client.  The hop *times*
-                # are not rescaled — aggregate hop durations already embody
-                # the K-fold serialization/CPU cost.
-                counts[kind] = counts.get(kind, 0) + multiplicity
-            times = self.hop_time_by_kind
-            for kind, seconds in breakdown.items():
-                times[kind] = times.get(kind, 0.0) + seconds
+        # The message carries per-kind subtotals (hops, seconds), summed in
+        # traversal order as hops were recorded: folding them costs
+        # O(kinds), and the run-wide float sums (part of every serialized
+        # result) are those of a per-hop walk.  Hop counts are logical: an
+        # aggregate message's hop stands for one traversal per represented
+        # client.  The hop *times* are not rescaled: aggregate hop
+        # durations already embody the K-fold serialization/CPU cost.
+        counts = self.hop_count_by_kind
+        times = self.hop_time_by_kind
+        for kind, (hops, seconds) in message.hop_totals.items():
+            counts[kind] = counts.get(kind, 0) + hops * multiplicity
+            times[kind] = times.get(kind, 0.0) + seconds
         self._consumed_counter.value += float(multiplicity)
         self._check_done()
 

@@ -9,7 +9,7 @@ FQDN routes).
 from .connection import Connection, SecuredNode, Traversable
 from .dns import DNSRegistry, Endpoint, RouteController
 from .link import Link
-from .message import HopRecord, Message, MessageFactory
+from .message import Message, MessageFactory
 from .nat import (
     NODEPORT_RANGE,
     Firewall,
@@ -33,7 +33,6 @@ __all__ = [
     "Link",
     "Message",
     "MessageFactory",
-    "HopRecord",
     "Firewall",
     "FirewallRule",
     "NATGateway",

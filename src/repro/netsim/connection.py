@@ -74,7 +74,6 @@ class Connection:
         # Per-message instruments, resolved by name exactly once.
         self._messages_counter = self.monitor.counter("messages")
         self._bytes_counter = self.monitor.counter("bytes")
-        self._path_delay_series = self.monitor.timeseries("path_delay")
         self.established = False
         self.messages_sent = 0
 
@@ -97,7 +96,6 @@ class Connection:
         """Simulation process moving one message across every stage in order."""
         if not self.established:
             yield from self.establish()
-        started = self.env.now
         for stage in self.stages:
             yield from stage.traverse(message)
         # Counters account logical client messages: an aggregate message of
@@ -106,7 +104,6 @@ class Connection:
         self.messages_sent += multiplicity
         self._messages_counter.value += float(multiplicity)
         self._bytes_counter.value += message.wire_bytes * multiplicity
-        self._path_delay_series.record(started, self.env.now - started)
         return message
 
     # -- introspection -----------------------------------------------------------

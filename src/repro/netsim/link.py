@@ -21,7 +21,7 @@ from typing import Generator, Optional
 import numpy as np
 
 from ..simkit import BatchedUniform, Environment, HandoffServer, Monitor
-from .message import HopRecord, Message
+from .message import Message
 from .units import transmission_time
 
 __all__ = ["Link"]
@@ -50,7 +50,6 @@ class Link:
         # Per-message instruments, resolved by name exactly once.
         self._messages_counter = self.monitor.counter("messages")
         self._bytes_counter = self.monitor.counter("bytes")
-        self._queueing_series = self.monitor.timeseries("queueing_delay")
         #: Serialization server: one frame on the wire at a time.
         self._wire = HandoffServer(env, capacity=1)
         self._busy_time = 0.0
@@ -101,11 +100,9 @@ class Link:
         propagated = env.timeout(self.propagation_delay())
         wire.release()
         yield propagated
-        departed = env.now
-        message.hops.append(HopRecord(self.name, "link", arrived, departed))
+        message.record_hop(self.name, "link", arrived, env.now)
         self._messages_counter.value += float(multiplicity)
         self._bytes_counter.value += message.wire_bytes * multiplicity
-        self._queueing_series.record(arrived, departed - arrived)
 
     def _serialize(self, message: Message) -> float:
         """Wire time of ``message``, read when the wire is granted to it."""

@@ -3,8 +3,10 @@
 A :class:`Message` models one application-level message as produced by a
 workload generator: a payload of so many bytes (optionally composed of
 multiple batched events, as in the Deleria workload), plus headers, routing
-information and a trace of every hop it crosses.  The trace is what lets the
-metrics layer attribute latency to individual architecture components.
+information and an account of the hops it crosses: the element names in
+traversal order, and per element kind the number of hops and the seconds
+spent in them.  The per-kind totals are what let the coordinator attribute
+latency to individual architecture components without walking every hop.
 """
 
 from __future__ import annotations
@@ -13,27 +15,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-__all__ = ["Message", "HopRecord", "MessageFactory"]
+__all__ = ["Message", "MessageFactory"]
 
 _message_ids = itertools.count()
-
-
-@dataclass(slots=True)
-class HopRecord:
-    """One traversal of a network element by a message.
-
-    One of these is allocated per hop of every message, so it carries
-    ``slots=True`` to stay dict-free.
-    """
-
-    element: str
-    kind: str
-    arrived_at: float
-    departed_at: float
-
-    @property
-    def duration(self) -> float:
-        return self.departed_at - self.arrived_at
 
 
 @dataclass(slots=True)
@@ -66,8 +50,12 @@ class Message:
     consumed_at: Optional[float] = None
     #: Free-form metadata bag (sequence numbers, run ids, ...).
     headers: dict[str, Any] = field(default_factory=dict)
-    #: Per-hop latency trace.
-    hops: list[HopRecord] = field(default_factory=list)
+    #: Names of the elements crossed, in traversal order.
+    path: list[str] = field(default_factory=list)
+    #: Element kind -> ``[hops, seconds]`` over the hops crossed so far,
+    #: keyed in first-traversal order.  The seconds start from the first
+    #: hop's duration and add each later one in traversal order.
+    hop_totals: dict[str, list] = field(default_factory=dict)
 
     #: Protocol framing overhead added on the wire per message (AMQP frame
     #: headers, TCP/IP overhead amortised per message).
@@ -96,17 +84,21 @@ class Message:
 
     def record_hop(self, element: str, kind: str,
                    arrived_at: float, departed_at: float) -> None:
-        self.hops.append(HopRecord(element, kind, arrived_at, departed_at))
+        """Account one traversal of ``element`` (of ``kind``)."""
+        self.path.append(element)
+        totals = self.hop_totals.get(kind)
+        if totals is None:
+            self.hop_totals[kind] = [1, departed_at - arrived_at]
+        else:
+            totals[0] += 1
+            totals[1] += departed_at - arrived_at
 
     def hop_count(self) -> int:
-        return len(self.hops)
+        return len(self.path)
 
     def hop_breakdown(self) -> dict[str, float]:
         """Total time spent per element kind (link, proxy, broker, ...)."""
-        breakdown: dict[str, float] = {}
-        for hop in self.hops:
-            breakdown[hop.kind] = breakdown.get(hop.kind, 0.0) + hop.duration
-        return breakdown
+        return {kind: seconds for kind, (_, seconds) in self.hop_totals.items()}
 
     def make_reply(self, payload_bytes: float, now: float) -> "Message":
         """Create the reply message for a request/reply interaction."""

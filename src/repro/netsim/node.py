@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Generator, Optional
 
 from ..simkit import Environment, HandoffServer, Monitor
-from .message import HopRecord, Message
+from .message import Message
 from .tls import NULL_TLS, TLSProfile
 
 __all__ = ["NodeSpec", "NetworkNode"]
@@ -57,7 +57,6 @@ class NetworkNode:
         # Per-message instruments, resolved by name exactly once.
         self._messages_counter = self.monitor.counter("messages")
         self._bytes_counter = self.monitor.counter("bytes")
-        self._service_series = self.monitor.timeseries("service_delay")
         self._cpu = HandoffServer(env, capacity=max(1, self.spec.concurrency))
         self._busy_time = 0.0
 
@@ -82,11 +81,9 @@ class NetworkNode:
         cpu = self._cpu
         yield cpu.acquire(self._serve, message, tls)
         cpu.release()
-        departed = self.env.now
-        message.hops.append(HopRecord(self.name, self.role, arrived, departed))
+        message.record_hop(self.name, self.role, arrived, self.env.now)
         self._messages_counter.value += float(multiplicity)
         self._bytes_counter.value += message.wire_bytes * multiplicity
-        self._service_series.record(arrived, departed - arrived)
 
     def _serve(self, message: Message, tls: TLSProfile) -> float:
         """CPU time of ``message``, computed when a unit is granted to it."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..simkit import Environment, Monitor, Resource
-from ..netsim.message import HopRecord, Message
+from ..netsim.message import Message
 from ..netsim.node import NetworkNode
 from ..netsim.tls import MUTUAL_TLS, NULL_TLS, TLSProfile
 
@@ -66,7 +66,6 @@ class TunnelProxy:
         # Per-message instruments, resolved by name exactly once.
         self._messages_counter = self.monitor.counter("messages")
         self._bytes_counter = self.monitor.counter("bytes")
-        self._delay_series = self.monitor.timeseries("delay")
         self._workers = Resource(env, capacity=self.effective_concurrency())
         self._registered_connections = 0
 
@@ -109,11 +108,9 @@ class TunnelProxy:
             yield from self.host.traverse(message, tls=NULL_TLS)
             # Proxy-software forwarding and tunnel crypto.
             yield self.env.timeout(self.forwarding_cost(message) * multiplicity)
-        departed = self.env.now
-        message.hops.append(HopRecord(self.name, "proxy", arrived, departed))
+        message.record_hop(self.name, "proxy", arrived, self.env.now)
         self._messages_counter.value += float(multiplicity)
         self._bytes_counter.value += message.wire_bytes * multiplicity
-        self._delay_series.record(arrived, departed - arrived)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<{type(self).__name__} {self.name} host={self.host.name} "

@@ -1,22 +1,26 @@
 """Lightweight instrumentation for simulated components.
 
-Two primitives cover everything the evaluation needs:
+Two primitives:
 
 * :class:`Counter` — monotonically increasing counts (messages published,
   messages consumed, bytes transferred, rejected publishes).
-* :class:`TimeSeries` — timestamped samples (per-message RTTs, queue depths,
-  link utilisation), with summary statistics computed lazily via numpy.
+* :class:`TimeSeries` — timestamped samples with summary statistics
+  computed lazily via numpy, for probing one component (a queue's depth
+  over time, say).  No simulated element records a series per message:
+  the per-hop latency that results report comes from the per-kind hop
+  totals each message carries (see
+  :meth:`~repro.netsim.message.Message.record_hop`).
 
 A :class:`Monitor` groups named counters/series for one component and can be
-merged with others when the coordinator aggregates per-consumer results.
+merged with others.
 
-Both primitives sit on the per-message hot path, so they are
+Counters sit on the per-message hot path, so both primitives are
 allocation-light: ``__slots__`` instead of instance dicts, and
 :class:`TimeSeries` stores its samples in ``array('d')`` column buffers
 (one C double per sample) rather than lists of boxed floats.  Hot call
-sites are expected to look up their :class:`Counter`/:class:`TimeSeries`
-once (``monitor.counter(name)`` / ``monitor.timeseries(name)``) and keep
-the returned object, rather than paying the name lookup per message.
+sites are expected to look up their :class:`Counter` once
+(``monitor.counter(name)``) and keep the returned object, rather than
+paying the name lookup per message.
 """
 
 from __future__ import annotations

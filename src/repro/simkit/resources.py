@@ -351,20 +351,23 @@ class StorePut(Event):
 class StoreGet(Event):
     """Pending get of an item from a :class:`Store`."""
 
-    __slots__ = ("filter",)
+    __slots__ = ("store", "filter")
 
     def __init__(self, store: "Store",
                  filter: Optional[Callable[[Any], bool]] = None) -> None:
         super().__init__(store.env)
+        self.store = store
         self.filter = filter
         store._get_waiters.append(self)
         store._dispatch()
 
     def cancel(self) -> None:
-        """Withdraw the get request if it has not been satisfied yet."""
-        # Dispatch skips triggered events, so marking is enough; but remove
-        # eagerly to keep waiter lists short.
-        pass
+        """Withdraw the get request if it has not been satisfied yet, so
+        the next item goes to the next waiter instead."""
+        try:
+            self.store._get_waiters.remove(self)
+        except ValueError:
+            pass  # already satisfied or cancelled
 
 
 class Store:

@@ -182,8 +182,8 @@ def test_cluster_publish_relays_to_leader():
     assert outcomes[0].accepted
     assert cluster.get_queue("q1").ready_count == 1
     assert cluster.monitor.counter("interbroker_messages").value == 1
-    # The relay shows up in the message's hop trace.
-    assert any("dsn1->dsn2" == hop.element for hop in message.hops)
+    # The relay shows up in the message's path.
+    assert "dsn1->dsn2" in message.path
 
 
 def test_cluster_routes_each_relay_pair_once(monkeypatch):
@@ -209,9 +209,10 @@ def test_cluster_routes_each_relay_pair_once(monkeypatch):
     env.run(until=env.process(proc(env)))
     assert cluster.monitor.counter("interbroker_messages").value == 6
     assert routed == [("dsn1", "dsn2"), ("dsn1", "dsn3")]
-    # Every relay still crosses the routed link.
-    assert [hop.element for message in messages for hop in message.hops
-            if hop.kind == "link"] == ["dsn1->dsn2", "dsn1->dsn3"] * 3
+    # Every relay still crosses the routed link, then the leader's host.
+    assert [message.path for message in messages] == [
+        ["dsn1->dsn2", "dsn2"], ["dsn1->dsn3", "dsn3"]] * 3
+    assert all(message.hop_totals["link"][0] == 1 for message in messages)
 
 
 def test_cluster_publish_local_leader_has_no_relay():
@@ -265,7 +266,7 @@ def test_cluster_subscribe_with_relay_and_ack():
     env.run(until=env.process(proc(env)))
     env.run()
     assert len(received) == 1
-    assert any("dsn1->dsn3" == hop.element for hop in message.hops)
+    assert "dsn1->dsn3" in message.path
     settled = cluster.ack("q1", received[0].headers["delivery_tag"])
     assert settled == 1
 

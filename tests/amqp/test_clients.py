@@ -97,7 +97,7 @@ def test_message_hops_cover_full_path():
     env.process(produce(env))
     env.process(consume(env))
     env.run()
-    elements = [hop.element for hop in box[0].hops]
+    elements = box[0].path
     assert "prod-host" in elements
     assert "prod-host->dsn1" in elements
     assert "dsn1->cons-host" in elements

@@ -128,7 +128,7 @@ def test_ingress_route_and_traverse_records_hop():
 
     env.process(proc(env))
     env.run()
-    assert message.hops[0].element == "ingress1"
+    assert message.path[0] == "ingress1"
     assert cluster.ingress.monitor.counter("messages").value == 1
 
 
@@ -160,7 +160,7 @@ def test_load_balancer_round_robin_and_traverse():
     env.process(proc(env))
     env.run()
     assert lb.monitor.counter("messages").value == 1
-    assert message.hops[0].element == "lb1"
+    assert message.path[0] == "lb1"
 
 
 def test_load_balancer_without_backends_raises():

@@ -1,10 +1,10 @@
 """Tests for per-hop latency attribution (where each architecture's overhead lives).
 
 The paper motivates the comparison by noting that "each architectural hop
-introduces latency and jitter"; the coordinator aggregates the per-message
-hop traces so a run can attribute its latency to links, broker hosts,
-proxies, the load balancer and the ingress.  These tests check that the
-attribution reflects each architecture's data path.
+introduces latency and jitter"; the coordinator folds the per-kind hop
+totals of every consumed message so a run can attribute its latency to
+links, broker hosts, proxies, the load balancer and the ingress.  These
+tests check that the attribution reflects each architecture's data path.
 """
 
 from __future__ import annotations

@@ -89,7 +89,8 @@ def test_full_run_reproducibility_across_process_state():
 
 
 def test_message_traces_reflect_architecture_hops():
-    """Consumed messages carry the per-hop trace used for latency attribution."""
+    """Consumed messages carry the per-kind hop totals used for latency
+    attribution."""
     config = ExperimentConfig(
         architecture="MSS", workload="Dstream", pattern="work_sharing",
         num_producers=1, num_consumers=1, messages_per_producer=3,

@@ -17,7 +17,6 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.netsim import Link, MessageFactory, NetworkNode, NodeSpec
-from repro.netsim.message import HopRecord
 from repro.netsim.tls import NULL_TLS
 from repro.simkit import BatchedUniform, Environment, Resource
 
@@ -41,8 +40,7 @@ class ReferenceLink(Link):
             self._busy_time += tx
             yield self.env.timeout(tx)
         yield self.env.timeout(self.propagation_delay())
-        departed = self.env.now
-        message.hops.append(HopRecord(self.name, "link", arrived, departed))
+        message.record_hop(self.name, "link", arrived, self.env.now)
 
 
 class ReferenceNode(NetworkNode):
@@ -59,8 +57,7 @@ class ReferenceNode(NetworkNode):
             cost = self.service_time(message, tls) * message.multiplicity
             self._busy_time += cost
             yield self.env.timeout(cost)
-        message.hops.append(HopRecord(self.name, self.role, arrived,
-                                      self.env.now))
+        message.record_hop(self.name, self.role, arrived, self.env.now)
 
 
 class RecordingJitter:

@@ -37,7 +37,7 @@ def test_link_traverse_takes_serialization_plus_latency():
     env.run()
     assert env.now == pytest.approx(131.072e-6 + 0.001)
     assert msg.hop_count() == 1
-    assert msg.hops[0].kind == "link"
+    assert list(msg.hop_totals) == ["link"]
 
 
 def test_link_serializes_concurrent_messages():
@@ -164,8 +164,8 @@ def test_node_records_hop_with_role():
 
     env.process(proc(env))
     env.run()
-    assert msg.hops[0].kind == "broker-host"
-    assert msg.hops[0].element == "dsn1"
+    assert list(msg.hop_totals) == ["broker-host"]
+    assert msg.path[0] == "dsn1"
 
 
 def test_node_utilization_bounded():

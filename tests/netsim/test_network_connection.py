@@ -159,7 +159,7 @@ def test_connection_send_traverses_all_stages():
     env.run()
     assert conn.established
     assert conn.messages_sent == 1
-    assert [hop.element for hop in msg.hops] == ["andes1", "andes1->dsn1", "dsn1"]
+    assert msg.path == ["andes1", "andes1->dsn1", "dsn1"]
 
 
 def test_connection_establish_is_idempotent():

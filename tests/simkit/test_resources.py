@@ -303,3 +303,50 @@ def test_store_capacity_must_be_positive():
     env = Environment()
     with pytest.raises(ValueError):
         Store(env, capacity=0)
+
+
+@pytest.mark.parametrize("store_cls", [Store, FilterStore])
+def test_cancelled_get_leaves_the_next_item_to_a_fresh_get(store_cls):
+    env = Environment()
+    store = store_cls(env)
+    cancelled = store.get()
+    cancelled.cancel()
+    cancelled.cancel()  # idempotent
+    received = []
+
+    def consumer(env, store):
+        yield env.timeout(1.0)
+        store.put("a")
+        item = yield store.get()
+        received.append(item)
+
+    env.process(consumer(env, store))
+    env.run()
+    assert received == ["a"]
+    assert not cancelled.triggered
+    assert len(store) == 0
+
+
+def test_filter_store_cancelled_filtered_get_does_not_take_its_match():
+    env = Environment()
+    store = FilterStore(env)
+    cancelled = store.get(lambda item: item == "b")
+    waiting = store.get(lambda item: item == "b")
+    cancelled.cancel()
+    store.put("a")
+    store.put("b")
+    env.run()
+    assert not cancelled.triggered
+    assert waiting.value == "b"
+    assert list(store.items) == ["a"]
+
+
+def test_cancel_after_get_succeeded_keeps_the_item():
+    env = Environment()
+    store = Store(env)
+    store.put("a")
+    get = store.get()
+    get.cancel()
+    env.run()
+    assert get.value == "a"
+    assert len(store) == 0
