@@ -103,6 +103,10 @@ class AckPolicy:
       delivery is acknowledged individually (effective batches of 1).
     * ``"fire_and_forget"`` — producers never wait for publisher confirms
       (effective publisher batch of 0); consumer acks batch as configured.
+
+    A bounded prefetch window smaller than the effective consumer batch is
+    rejected: the consumer would stop receiving before it could fill one
+    ack batch, and the stream would stall.
     """
 
     #: Consumer sends one cumulative ack per this many deliveries.
@@ -118,6 +122,12 @@ class AckPolicy:
         if self.mode not in ACK_MODES:
             raise ValueError(f"unknown ack mode {self.mode!r}; "
                              f"expected one of {ACK_MODES}")
+        batch = max(1, self.effective_consumer_batch)
+        if 0 < self.prefetch_count < batch:
+            raise ValueError(
+                f"prefetch_count {self.prefetch_count} is below the "
+                f"consumer ack batch of {batch}: the prefetch window "
+                f"fills before an ack is sent, so the consumer stalls")
 
     @property
     def effective_consumer_batch(self) -> int:

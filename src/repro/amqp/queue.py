@@ -201,10 +201,15 @@ class ClassicQueue:
     def ack(self, delivery_tag: int, *, multiple: bool = False) -> int:
         """Acknowledge a delivery (cumulatively if ``multiple``).
 
-        Returns the number of deliveries settled.
+        Delivery tags are scoped to the consumer, as AMQP scopes them to a
+        channel: a cumulative ack settles only the deliveries up to
+        ``delivery_tag`` made to the consumer that received it, never
+        another consumer's.  Returns the number of deliveries settled.
         """
         if multiple:
-            tags = sorted(t for t in self._unacked if t <= delivery_tag)
+            owner = self._unacked.get(delivery_tag, (None,))[0]
+            tags = sorted(t for t, (consumer_tag, _) in self._unacked.items()
+                          if t <= delivery_tag and consumer_tag == owner)
         else:
             tags = [delivery_tag] if delivery_tag in self._unacked else []
         settled_logical = 0

@@ -39,6 +39,8 @@ _LOCK_CONTEXTS = frozenset({"shard_lock"})
 #: Maps call tail -> indices of the arguments that are *written* (for
 #: ``os.replace``/``copyfile`` the destination, plus the source for
 #: ``replace`` since moving a shard away is also a mutation).
+#: ``write_shard`` is the cache's one shard writer: its own body writes
+#: under a reviewed pragma, so each call of it must hold the lock.
 _WRITE_CALLS = {
     "replace": (0, 1),
     "rename": (0, 1),
@@ -47,6 +49,7 @@ _WRITE_CALLS = {
     "copyfile": (1,),
     "copy": (1,),
     "move": (0, 1),
+    "write_shard": (0,),
 }
 
 #: ``open(path, mode)`` modes that write.

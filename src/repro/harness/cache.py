@@ -70,7 +70,7 @@ from .results import ExperimentResult
 from .runner import ScenarioPoint
 
 __all__ = ["ResultCache", "CACHE_VERSION", "code_fingerprint",
-           "shard_lock", "LOCK_SUFFIX"]
+           "shard_lock", "write_shard", "LOCK_SUFFIX"]
 
 CACHE_VERSION = 1
 
@@ -202,6 +202,23 @@ def shard_lock(shard_path: str, *,
             os.remove(lock_path)
         except OSError:  # pragma: no cover - best effort
             pass
+
+
+def write_shard(shard_path: str, entries: dict) -> None:
+    """Atomically replace one shard file with ``entries``.
+
+    The text goes to ``<shard>.tmp`` and is then renamed over the shard,
+    so a reader sees the old or the new shard, never half of one.  It is
+    encoded with ``json.dumps``, which runs the C encoder; ``json.dump``
+    writes the same bytes through the pure-Python encoder, about twice as
+    slowly.  Callers hold the shard's :func:`shard_lock`.
+    """
+    text = json.dumps({"version": CACHE_VERSION, "entries": entries})
+    tmp_path = f"{shard_path}.tmp"
+    # The caller holds the lock; lint rule L001 checks every call site.
+    with open(tmp_path, "w", encoding="utf-8") as handle:  # repro: allow[L001]
+        handle.write(text)
+    os.replace(tmp_path, shard_path)  # repro: allow[L001]
 
 
 class ResultCache:
@@ -371,9 +388,5 @@ class ResultCache:
                     if os.path.exists(shard_path):
                         os.remove(shard_path)
                     continue
-                tmp_path = f"{shard_path}.tmp"
-                with open(tmp_path, "w", encoding="utf-8") as handle:
-                    json.dump({"version": CACHE_VERSION, "entries": entries},
-                              handle)
-                os.replace(tmp_path, shard_path)
+                write_shard(shard_path, entries)
         self._dirty_shards.clear()

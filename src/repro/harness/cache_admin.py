@@ -49,6 +49,7 @@ from .cache import (
     code_fingerprint,
     not_a_cache_directory,
     shard_lock,
+    write_shard,
 )
 
 __all__ = [
@@ -295,11 +296,7 @@ def gc_cache(path: str, *, purge_quarantine: bool = False,
                 report.deleted_shards += 1
                 report.bytes_reclaimed += size_before
                 continue
-            tmp_path = f"{shard_path}.tmp"
-            with open(tmp_path, "w", encoding="utf-8") as handle:
-                json.dump({"version": CACHE_VERSION, "entries": fresh},
-                          handle)
-            os.replace(tmp_path, shard_path)
+            write_shard(shard_path, fresh)
             report.rewritten_shards += 1
             report.bytes_reclaimed += size_before - os.path.getsize(shard_path)
     if purge_quarantine:
@@ -355,12 +352,8 @@ def compact_cache(path: str) -> CompactReport:
             report.shards += 1
             report.entries += len(entries)
             report.bytes_before += os.path.getsize(shard_path)
-            ordered = {key: entries[key] for key in sorted(entries)}
-            tmp_path = f"{shard_path}.tmp"
-            with open(tmp_path, "w", encoding="utf-8") as handle:
-                json.dump({"version": CACHE_VERSION, "entries": ordered},
-                          handle)
-            os.replace(tmp_path, shard_path)
+            write_shard(shard_path,
+                        {key: entries[key] for key in sorted(entries)})
             report.bytes_after += os.path.getsize(shard_path)
     for name in _tmp_files(path):
         os.remove(name)

@@ -12,7 +12,8 @@ seconds — pass ``messages_per_producer`` explicitly to scale up.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import cache
 from typing import Optional
 
 from ..amqp import AckPolicy
@@ -24,6 +25,35 @@ __all__ = ["ExperimentConfig", "PATTERN_NAMES"]
 
 #: Messaging patterns implemented by :mod:`repro.patterns`.
 PATTERN_NAMES = ("work_sharing", "work_sharing_feedback", "broadcast", "broadcast_gather")
+
+_LEAF_TYPES = (str, int, float, bool, type(None))
+
+
+@cache
+def _field_names(cls: type) -> Optional[tuple[str, ...]]:
+    """A dataclass's field names (``None`` for any other class)."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
+
+
+def _plain(value):
+    """``dataclasses.asdict`` of ``value`` without deep-copying its leaves.
+
+    Dataclasses become dicts in field order, and dicts, lists and tuples are
+    rebuilt around their converted items, exactly as ``asdict`` does; leaves
+    are shared, not copied.  Every cache key is hashed from this, so it
+    must keep producing the same JSON text as ``asdict``.
+    """
+    cls = type(value)
+    if cls in _LEAF_TYPES:
+        return value
+    names = _field_names(cls)
+    if names is not None:
+        return {name: _plain(getattr(value, name)) for name in names}
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if cls in (list, tuple):
+        return cls(_plain(item) for item in value)
+    return value
 
 
 @dataclass
@@ -138,8 +168,7 @@ class ExperimentConfig:
     # -- serialization -----------------------------------------------------------
     def to_json_dict(self) -> dict:
         """Plain-JSON representation; inverse of :meth:`from_json_dict`."""
-        payload = asdict(self)
-        return payload
+        return _plain(self)
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ExperimentConfig":

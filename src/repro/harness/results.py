@@ -4,9 +4,12 @@ Both containers round-trip through pickle (they are plain dataclasses) and
 through JSON via ``to_json_dict`` / ``from_json_dict`` so sweep results can
 be cached to disk and reused by figure regeneration (see
 :mod:`repro.harness.cache`).  RTT/latency distributions are serialized as
-their raw samples and rebuilt with :func:`~repro.metrics.compute_rtt`, which
-is deterministic, so a JSON round-trip reproduces the original summaries
-bit-for-bit.
+their raw samples (plus multiplicity weights for population runs) and
+rebuilt with :func:`~repro.metrics.compute_rtt`.  Nothing derived from the
+samples is stored or recomputed on load: an :class:`~repro.metrics.RTTResult`
+reduces on read, so a figure that reads only medians never builds a
+summary, and the statistics after a JSON round-trip are bit-for-bit those
+of the original samples.
 """
 
 from __future__ import annotations

@@ -2,43 +2,58 @@
 
 §5.2: "RTT is the time it takes for a message to travel from a producer to
 a consumer and for the corresponding reply to return to the producer."  The
-harness records one RTT sample per reply received; this module reduces the
-samples to the median (Figure 6 / 7b) and the empirical CDF (Figure 5 / 8).
+harness records one RTT sample per reply received.  An :class:`RTTResult`
+keeps those samples and reduces them on read: the median (Figure 6 / 7b)
+without the rest of the summary, the nine-number summary once on first
+access.  The empirical CDF of Figures 5 and 8 is built by the figures from
+the samples pooled across runs (:func:`~repro.metrics.empirical_cdf`), so a
+result carries none of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
-from .stats import SummaryStats, as_float_array, empirical_cdf, summarize
+from .stats import SummaryStats, as_float_array, median, summarize
 
 __all__ = ["RTTResult", "compute_rtt"]
 
 
 @dataclass(frozen=True)
 class RTTResult:
-    """RTT distribution summary for one experiment run.
+    """RTT samples of one experiment run, reduced on read.
 
     ``weights`` is ``None`` for discrete-client runs; aggregate-client runs
     carry one multiplicity weight per sample, and every statistic is over
     the expanded logical sample (each sample counted ``weights[i]`` times).
+
+    :attr:`summary` is computed on first access and memoized on the
+    instance.  :attr:`median_s` and :attr:`count` of an unweighted sample
+    are answered without it, through the helpers :func:`summarize` itself
+    uses, so they equal the summary's fields bit for bit.
     """
 
-    summary: SummaryStats
-    cdf_x: np.ndarray = field(repr=False)
-    cdf_p: np.ndarray = field(repr=False)
     samples: np.ndarray = field(repr=False)
     weights: "np.ndarray | None" = field(default=None, repr=False)
 
+    @cached_property
+    def summary(self) -> SummaryStats:
+        return summarize(self.samples, self.weights)
+
     @property
     def median_s(self) -> float:
+        if self.weights is None and "summary" not in self.__dict__:
+            return median(self.samples)
         return self.summary.median
 
     @property
     def count(self) -> int:
+        if self.weights is None:
+            return int(self.samples.size)
         return self.summary.count
 
     def fraction_under(self, threshold_s: float) -> float:
@@ -56,15 +71,16 @@ class RTTResult:
         return payload
 
 
-def compute_rtt(samples: Iterable[float], *, cdf_points: int = 200,
+def compute_rtt(samples: Iterable[float], *,
                 weights: "Iterable[float] | None" = None) -> RTTResult:
-    """Reduce raw RTT samples to the summary + CDF used by the figures."""
+    """Wrap raw RTT samples (and multiplicity weights) for reduction."""
     # The result retains the samples, so take an owned copy of the source
     # buffer (coordinators hand in live array('d') columns).
     array = as_float_array(samples, copy=True)
     warray = None
     if weights is not None:
         warray = as_float_array(weights, copy=True)
-    x, p = empirical_cdf(array, points=cdf_points, weights=warray)
-    return RTTResult(summary=summarize(array, warray), cdf_x=x, cdf_p=p,
-                     samples=array, weights=warray)
+        if warray.size != array.size:
+            raise ValueError(f"weights length {warray.size} does not match "
+                             f"sample length {array.size}")
+    return RTTResult(samples=array, weights=warray)

@@ -8,8 +8,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["SummaryStats", "summarize", "empirical_cdf", "percentile",
-           "weighted_percentile", "as_float_array"]
+__all__ = ["SummaryStats", "summarize", "empirical_cdf", "median",
+           "percentile", "weighted_percentile", "as_float_array"]
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def summarize(values: Iterable[float],
         # Pairwise summation can land 1 ULP outside the sample range;
         # clamp so min <= mean <= max always holds.
         mean=float(min(max(np.mean(array), minimum), maximum)),
-        median=float(np.median(array)),
+        median=median(array),
         minimum=minimum,
         maximum=maximum,
         p10=float(np.percentile(array, 10)),
@@ -138,6 +138,19 @@ def _weighted_summarize(array: np.ndarray, weights: np.ndarray) -> SummaryStats:
         p99=wpct(99),
         std=float(np.sqrt(max(variance, 0.0))),
     )
+
+
+def median(values: Iterable[float]) -> float:
+    """Median of an unweighted sample (NaN for an empty sample).
+
+    :func:`summarize` takes its ``median`` from here, so a caller that
+    needs only the median gets the same float without the other eight
+    statistics.
+    """
+    array = _as_array(values)
+    if array.size == 0:
+        return float("nan")
+    return float(np.median(array))
 
 
 def percentile(values: Iterable[float], q: float) -> float:

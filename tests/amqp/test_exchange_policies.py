@@ -114,3 +114,14 @@ def test_ack_policy_defaults():
     assert policy.consumer_batch > 0
     assert policy.publisher_batch > 0
     assert policy.prefetch_count > 0
+
+
+def test_ack_policy_rejects_a_prefetch_window_below_the_ack_batch():
+    with pytest.raises(ValueError, match="prefetch_count 9"):
+        AckPolicy(consumer_batch=10, prefetch_count=9)
+    # per_message acks every delivery, so any window of 1 or more works.
+    AckPolicy(consumer_batch=10, prefetch_count=1, mode="per_message")
+    # 0 is the unlimited window, and a window equal to the batch fills it.
+    AckPolicy(consumer_batch=10, prefetch_count=0)
+    AckPolicy(consumer_batch=10, prefetch_count=10)
+    AckPolicy(consumer_batch=0, prefetch_count=1)

@@ -111,6 +111,31 @@ def test_cumulative_ack_multiple_true():
     assert queue.unacked_count == 0
 
 
+def test_cumulative_ack_settles_only_the_acking_consumers_deliveries():
+    env = Environment()
+    queue = ClassicQueue(env, "q")
+    received = []
+    first = queue.subscribe("a", collector(env, received, tag="a"), prefetch=2)
+    second = queue.subscribe("b", collector(env, received, tag="b"),
+                             prefetch=2)
+    for msg in make_messages(4):
+        queue.publish(msg)
+    env.run()
+    tags = {consumer: [m.headers["delivery_tag"] for tag, m in received
+                       if tag == consumer] for consumer in ("a", "b")}
+    assert tags == {"a": [1, 3], "b": [2, 4]}
+    # A's cumulative ack up to tag 3 leaves B's tag 2 and B's credit alone.
+    assert queue.ack(3, multiple=True) == 2
+    assert (first.outstanding, list(first.unacked_tags)) == (0, [])
+    assert (second.outstanding, list(second.unacked_tags)) == (2, [2, 4])
+    assert queue.unacked_count == 2
+    # A settled tag names no consumer, so acking up to it again settles
+    # nothing; B's own cumulative ack settles B's deliveries.
+    assert queue.ack(3, multiple=True) == 0
+    assert queue.ack(4, multiple=True) == 2
+    assert queue.unacked_count == 0
+
+
 def test_ack_unknown_tag_is_noop():
     env = Environment()
     queue = ClassicQueue(env, "q")

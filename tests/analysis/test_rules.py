@@ -58,6 +58,16 @@ def test_uuid_facet_of_d001_flags_every_entropy_uuid_call():
     assert analyze_source(load_fixture("D001_uuid_negative.py"), [rule]) == []
 
 
+def test_write_shard_facet_of_l001_flags_every_unlocked_call():
+    rule = get_rule("L001")
+    source = load_fixture("L001_write_shard_positive.py")
+    findings = analyze_source(source, [rule])
+    assert [f.line for f in findings] == [6, 12]
+    assert all("write_shard" in f.message for f in findings)
+    assert analyze_source(load_fixture("L001_write_shard_negative.py"),
+                          [rule]) == []
+
+
 def test_corpus_runner_reports_a_stubbed_rule(tmp_path):
     """An empty positive fixture (rule never fires) is a corpus failure."""
     for rule in RULES:
