@@ -5,7 +5,9 @@ seed ("grid"), the (architecture, consumers) sweep behind Figures 4-8
 ("consumer_sweep") and the deployment points ("deployments") — run under
 SerialBackend and ProcessPoolBackend(jobs=2), must produce byte-identical
 JSON payloads: each simulation derives all of its randomness from the
-point's config, never from process or scheduling state.
+point's config, never from process or scheduling state.  A fourth set
+("patterns") pins every messaging pattern, every fault axis and an
+aggregated broadcast+gather population the same way.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ import json
 import pytest
 
 from repro.architectures import TestbedConfig
+from repro.faults import FAULT_AXES
 from repro.harness import (
+    PATTERN_NAMES,
     ExperimentConfig,
     ProcessPoolBackend,
     ScenarioSet,
@@ -135,6 +139,60 @@ def test_figure4_lockstep_point_matches_golden():
     payload = json.dumps(result.to_json_dict(), sort_keys=True)
     digest = hashlib.sha256(payload.encode()).hexdigest()
     assert digest == FIG4_LSTREAM_DTS_64_DIGEST
+
+
+def _pattern_set() -> ScenarioSet:
+    """Every pattern on DTS, PRS(HAProxy) and MSS, one point per fault
+    axis and one population-50 broadcast+gather point.
+
+    The base has one producer, so the consumer axis leaves the broadcast
+    patterns at one producer and gives the work-sharing ones two.  The
+    fault points run 4 producers x 4 consumers x 25 messages: at the tiny
+    2 x 2 x 4 scale, broker kills, link flaps and consumer churn are
+    scheduled but never fire.
+    """
+    scenarios = ScenarioSet.product(tiny_config(num_producers=1), {
+        "architecture": ["DTS", "PRS(HAProxy)", "MSS"],
+        "pattern": list(PATTERN_NAMES), "consumers": [2]})
+    faulted = tiny_config(num_producers=4, num_consumers=4,
+                          messages_per_producer=25)
+    for axis in FAULT_AXES:
+        value = 0.5 if axis == "link_degradation" else 1.0
+        scenarios.extend(ScenarioSet.product(
+            faulted, {f"faults.{axis}": [value]}))
+    scenarios.extend(ScenarioSet.product(
+        tiny_config(pattern="broadcast_gather", num_producers=1),
+        {"population": [50]}))
+    return scenarios
+
+
+#: sha256 over the newline-joined serial JSON payloads of ``_pattern_set``
+#: (recorded as GOLDEN_DIGESTS are).
+PATTERN_GOLDEN_DIGEST = (
+    "73017bb8bedda6033b5efc714bc2fb4b14b01ddf0cfc2b12ff44eb3c0784d420")
+
+
+def test_pattern_payloads_match_golden():
+    outcomes = run_scenarios(_pattern_set(),
+                             session=Session(backend="serial"))
+    digest = hashlib.sha256(
+        "\n".join(_payloads(outcomes)).encode()).hexdigest()
+    assert digest == PATTERN_GOLDEN_DIGEST
+    fired = {axis: outcome.result.runs[0].extra["faults"]["fired"]
+             for outcome in outcomes for axis in outcome.point.axes
+             if axis.startswith("faults.")}
+    assert set(fired) == {f"faults.{axis}" for axis in FAULT_AXES}
+    for axis, counts in fired.items():
+        kind = axis.removeprefix("faults.").removesuffix("_rate")
+        assert counts.get(kind, 0) >= 1, (axis, counts)
+
+
+def test_pattern_payloads_byte_identical_to_serial():
+    scenarios = _pattern_set()
+    serial = run_scenarios(scenarios, session=Session(backend="serial"))
+    parallel = run_scenarios(
+        scenarios, session=Session(backend=ProcessPoolBackend(2)))
+    assert _payloads(serial) == _payloads(parallel)
 
 
 def test_stunnel_infeasible_reason_is_identical_across_runs_and_backends():
