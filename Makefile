@@ -8,8 +8,8 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # Line-coverage floor enforced by `make coverage` over the execution engine.
 COVERAGE_FLOOR ?= 85
 
-.PHONY: test lint bench-smoke bench bench-pytest check coverage example \
-	sensitivity-smoke session-smoke population-smoke cache-smoke \
+.PHONY: test lint claims bench-smoke bench bench-pytest check coverage \
+	example sensitivity-smoke session-smoke population-smoke cache-smoke \
 	chaos-smoke
 
 test:
@@ -21,6 +21,14 @@ test:
 lint:
 	$(PYTHON) -m repro.cli lint --self-test
 	$(PYTHON) -m repro.cli lint
+
+# The paper's qualitative claims (about 20 s): the figure, ablation,
+# overhead, deployment and Table 1 benches in benchmarks/ regenerate their
+# outputs at 25 messages per producer, seed 1, through one shared cached
+# Session and assert the claims of §5.2-§6.  The micro benches are left to
+# bench-smoke.  Kept out of `make test`, which it would more than double.
+claims:
+	$(PYTHON) -m pytest benchmarks -q -k "not micro"
 
 # The figure-regeneration benchmark at smoke scale (bench/run.py, about
 # 11 s): every workload's result digests, the infeasible set and the warm
@@ -126,8 +134,8 @@ cache-smoke:
 		--consumers 1 2 --messages 4 --cache $(CACHE_SMOKE_CACHE)
 	@rm -rf $(CACHE_SMOKE_CACHE)
 
-check: lint test bench-smoke example sensitivity-smoke session-smoke \
-	population-smoke cache-smoke chaos-smoke
+check: lint test claims bench-smoke example sensitivity-smoke \
+	session-smoke population-smoke cache-smoke chaos-smoke
 
 # Coverage gate over the harness (runner/cache/sweep/policy are the layers
 # fault-tolerance lives in).  Skips gracefully where pytest-cov is absent —
@@ -142,7 +150,7 @@ coverage:
 	fi
 
 # Run every script in examples/ (about 10 s): they drive the public
-# Session / ConsumerSweep / compare_architectures API end to end, so an
+# Session / run_sweep / compare_architectures API end to end, so an
 # API change that breaks a documented usage fails the build.
 example:
 	@set -e; for script in examples/*.py; do \

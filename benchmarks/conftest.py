@@ -7,6 +7,12 @@ the whole suite finishes in about a minute).  Set ``REPRO_BENCH_MESSAGES``
 to raise the per-producer message budget, and ``REPRO_BENCH_RUNS`` to
 average more runs per point, when more fidelity is wanted.
 
+Every figure and ablation bench runs under the one cached
+``bench_session``, so a point two benches share (Figures 5 and 6, the
+overhead summary's Figures 4 and 6) is simulated once per test session.
+``make claims`` runs the paper-claim benches this way as part of
+``make check``.
+
 Run with::
 
     pytest benchmarks/ --benchmark-only -s
@@ -19,6 +25,8 @@ import time
 
 import pytest
 
+from repro.harness import Session
+
 #: Per-producer message budget used by the figure benches.
 BENCH_MESSAGES = int(os.environ.get("REPRO_BENCH_MESSAGES", "25"))
 #: Runs averaged per experiment point.
@@ -29,10 +37,25 @@ BENCH_CONSUMER_COUNTS = (1, 2, 4, 8, 16, 32, 64)
 BENCH_SEED = 1
 
 
+def curve(sweep, architecture, metric="throughput_msgs_per_s"):
+    """``{consumers: value}`` for one architecture of an (architecture,
+    consumers) sweep; infeasible points are left out."""
+    return dict(sweep.series("consumers", metric, architecture=architecture))
+
+
 def run_once(benchmark, func, *args, **kwargs):
     """Run a whole-figure regeneration exactly once under pytest-benchmark."""
     return benchmark.pedantic(func, args=args, kwargs=kwargs,
                               rounds=1, iterations=1, warmup_rounds=0)
+
+
+@pytest.fixture(scope="session")
+def bench_session(tmp_path_factory):
+    """One Session with a result cache, shared by every figure and
+    ablation bench of the test session."""
+    cache = tmp_path_factory.mktemp("bench") / "cache"
+    with Session(cache=cache) as session:
+        yield session
 
 
 @pytest.fixture

@@ -19,56 +19,59 @@ from repro.core import (
     ablation_work_queue_count,
 )
 from repro.metrics import format_table
-from .conftest import run_once
+from .conftest import curve, run_once
 
 
-def test_bench_ablation_tunnel_type(benchmark, bench_settings):
+def test_bench_ablation_tunnel_type(benchmark, bench_settings,
+                                    bench_session):
     sweep = run_once(benchmark, ablation_tunnel_type,
                      consumer_counts=(1, 4, 16),
                      messages_per_producer=bench_settings["messages"],
-                     seed=bench_settings["seed"])
+                     seed=bench_settings["seed"], session=bench_session)
     print()
     print(format_table(sweep.rows(), title="Ablation: PRS tunnel proxy type"))
-    haproxy = dict(sweep.series("PRS(HAProxy)"))
-    stunnel = dict(sweep.series("PRS(Stunnel)"))
-    nginx = dict(sweep.series("PRS(Nginx)"))
+    haproxy = curve(sweep, "PRS(HAProxy)")
+    stunnel = curve(sweep, "PRS(Stunnel)")
+    nginx = curve(sweep, "PRS(Nginx)")
     # HAProxy and Nginx behave similarly; Stunnel falls behind at scale.
     assert stunnel[16] < haproxy[16]
     assert 0.5 < nginx[16] / haproxy[16] < 1.5
 
 
-def test_bench_ablation_proxy_connections(benchmark, bench_settings):
+def test_bench_ablation_proxy_connections(benchmark, bench_settings,
+                                          bench_session):
     sweep = run_once(benchmark, ablation_proxy_connections,
                      consumer_counts=(1, 4, 16),
                      messages_per_producer=bench_settings["messages"],
-                     seed=bench_settings["seed"])
+                     seed=bench_settings["seed"], session=bench_session)
     print()
     print(format_table(sweep.rows(), title="Ablation: PRS parallel connections"))
-    one = dict(sweep.series("PRS(HAProxy)"))
-    four = dict(sweep.series("PRS(HAProxy,4conns)"))
+    one = curve(sweep, "PRS(HAProxy)")
+    four = curve(sweep, "PRS(HAProxy,4conns)")
     # §5.3: increasing connections to four shows no significant gain.
     for consumers in (1, 4, 16):
         assert abs(four[consumers] - one[consumers]) < 0.25 * one[consumers]
 
 
-def test_bench_ablation_mss_lb_bypass(benchmark, bench_settings):
+def test_bench_ablation_mss_lb_bypass(benchmark, bench_settings,
+                                      bench_session):
     sweep = run_once(benchmark, ablation_mss_lb_bypass,
                      consumer_counts=(4, 16, 64),
                      messages_per_producer=bench_settings["messages"],
-                     seed=bench_settings["seed"])
+                     seed=bench_settings["seed"], session=bench_session)
     print()
     print(format_table(sweep.rows(), title="Ablation: MSS load-balancer bypass"))
-    mss = dict(sweep.series("MSS"))
-    bypass = dict(sweep.series("MSS(bypass)"))
+    mss = curve(sweep, "MSS")
+    bypass = curve(sweep, "MSS(bypass)")
     # §6: letting internal consumers skip the LB/ingress lifts MSS throughput.
     assert bypass[64] > mss[64]
     assert bypass[16] > mss[16]
 
 
-def test_bench_ablation_link_speed(benchmark):
+def test_bench_ablation_link_speed(benchmark, bench_session):
     rows = run_once(benchmark, ablation_link_speed,
                     consumers=8, messages_per_producer=6,
-                    speeds_gbps=(1, 10))
+                    speeds_gbps=(1, 10), session=bench_session)
     print()
     print(format_table(rows, title="Ablation: access/backbone link speed"))
     by_key = {(row["architecture"], row["link_gbps"]):
@@ -78,11 +81,12 @@ def test_bench_ablation_link_speed(benchmark):
         assert by_key[(architecture, 10)] > by_key[(architecture, 1)]
 
 
-def test_bench_ablation_work_queue_count(benchmark, bench_settings):
+def test_bench_ablation_work_queue_count(benchmark, bench_settings,
+                                         bench_session):
     rows = run_once(benchmark, ablation_work_queue_count,
                     consumers=8, queue_counts=(1, 2, 4),
                     messages_per_producer=bench_settings["messages"],
-                    seed=bench_settings["seed"])
+                    seed=bench_settings["seed"], session=bench_session)
     print()
     print(format_table(rows, title="Ablation: number of shared work queues"))
     by_count = {row["work_queues"]: row["throughput_msgs_per_s"] for row in rows}
@@ -91,17 +95,18 @@ def test_bench_ablation_work_queue_count(benchmark, bench_settings):
     assert by_count[2] > 0.8 * by_count[1]
 
 
-def test_bench_ablation_network_layer_forwarding(benchmark, bench_settings):
+def test_bench_ablation_network_layer_forwarding(benchmark, bench_settings,
+                                                 bench_session):
     sweep = run_once(benchmark, ablation_network_layer_forwarding,
                      consumer_counts=(1, 4, 16),
                      messages_per_producer=bench_settings["messages"],
-                     seed=bench_settings["seed"])
+                     seed=bench_settings["seed"], session=bench_session)
     print()
     print(format_table(sweep.rows(),
                        title="Ablation: network-layer forwarding (EJFAT-style)"))
-    dts = dict(sweep.series("DTS"))
-    nlf = dict(sweep.series("NLF"))
-    prs = dict(sweep.series("PRS(HAProxy)"))
+    dts = curve(sweep, "DTS")
+    nlf = curve(sweep, "NLF")
+    prs = curve(sweep, "PRS(HAProxy)")
     # A network-layer forwarder costs less than application-layer proxies but
     # still trails the direct path.
     assert nlf[16] > prs[16]

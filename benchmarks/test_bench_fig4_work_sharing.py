@@ -16,19 +16,20 @@ from __future__ import annotations
 
 from repro.core import figure4
 from repro.metrics import format_table
-from .conftest import run_once
+from .conftest import curve, run_once
 
 
-def _last(series):
-    return series[-1][1]
+def _last(points):
+    return list(points.values())[-1]
 
 
-def test_bench_figure4(benchmark, bench_settings):
+def test_bench_figure4(benchmark, bench_settings, bench_session):
     data = run_once(benchmark, figure4,
                     messages_per_producer=bench_settings["messages"],
                     consumer_counts=bench_settings["consumer_counts"],
                     runs=bench_settings["runs"],
-                    seed=bench_settings["seed"])
+                    seed=bench_settings["seed"],
+                    session=bench_session)
 
     print()
     print(format_table(data.rows,
@@ -36,10 +37,10 @@ def test_bench_figure4(benchmark, bench_settings):
 
     for workload in ("Dstream", "Lstream"):
         sweep = data.sweeps[workload]
-        dts = dict(sweep.series("DTS"))
-        haproxy = dict(sweep.series("PRS(HAProxy)"))
-        stunnel = dict(sweep.series("PRS(Stunnel)"))
-        mss = dict(sweep.series("MSS"))
+        dts = curve(sweep, "DTS")
+        haproxy = curve(sweep, "PRS(HAProxy)")
+        stunnel = curve(sweep, "PRS(Stunnel)")
+        mss = curve(sweep, "MSS")
 
         # DTS dominates every feasible point and still improves up to 64.
         for consumers, value in haproxy.items():
@@ -66,5 +67,5 @@ def test_bench_figure4(benchmark, bench_settings):
         assert 1.4 < dts[64] / mss[64] < 5.0
 
     # Larger payloads mean lower message rates: Lstream << Dstream.
-    assert _last(data.sweeps["Lstream"].series("DTS")) < \
-        _last(data.sweeps["Dstream"].series("DTS")) / 10
+    assert _last(curve(data.sweeps["Lstream"], "DTS")) < \
+        _last(curve(data.sweeps["Dstream"], "DTS")) / 10

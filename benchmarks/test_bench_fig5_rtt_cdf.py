@@ -29,12 +29,13 @@ def _quantile(cdf, prob):
     return x[min(idx, len(x) - 1)]
 
 
-def test_bench_figure5(benchmark, bench_settings):
+def test_bench_figure5(benchmark, bench_settings, bench_session):
     data = run_once(benchmark, figure5,
                     messages_per_producer=bench_settings["messages"],
                     consumer_counts=CDF_CONSUMER_COUNTS,
                     runs=bench_settings["runs"],
-                    seed=bench_settings["seed"])
+                    seed=bench_settings["seed"],
+                    session=bench_session)
 
     print()
     print(format_table(data.rows,

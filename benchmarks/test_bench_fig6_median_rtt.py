@@ -13,15 +13,16 @@ from __future__ import annotations
 
 from repro.core import figure6
 from repro.metrics import format_table
-from .conftest import run_once
+from .conftest import curve, run_once
 
 
-def test_bench_figure6(benchmark, bench_settings):
+def test_bench_figure6(benchmark, bench_settings, bench_session):
     data = run_once(benchmark, figure6,
                     messages_per_producer=bench_settings["messages"],
                     consumer_counts=bench_settings["consumer_counts"],
                     runs=bench_settings["runs"],
-                    seed=bench_settings["seed"])
+                    seed=bench_settings["seed"],
+                    session=bench_session)
 
     print()
     print(format_table(data.rows,
@@ -29,10 +30,10 @@ def test_bench_figure6(benchmark, bench_settings):
 
     for workload in ("Dstream", "Lstream"):
         sweep = data.sweeps[workload]
-        dts = dict(sweep.series("DTS", "median_rtt_s"))
-        prs = dict(sweep.series("PRS(HAProxy)", "median_rtt_s"))
-        prs4 = dict(sweep.series("PRS(HAProxy,4conns)", "median_rtt_s"))
-        mss = dict(sweep.series("MSS", "median_rtt_s"))
+        dts = curve(sweep, "DTS", "median_rtt_s")
+        prs = curve(sweep, "PRS(HAProxy)", "median_rtt_s")
+        prs4 = curve(sweep, "PRS(HAProxy,4conns)", "median_rtt_s")
+        mss = curve(sweep, "MSS", "median_rtt_s")
 
         # MSS is the worst architecture at scale and blows up at 64 consumers.
         assert mss[64] > dts[64]
@@ -50,6 +51,6 @@ def test_bench_figure6(benchmark, bench_settings):
         assert mss[64] / dts[64] > 2.0
 
     # Dstream RTTs are far smaller than Lstream RTTs (16 KiB vs 1 MiB).
-    dstream_dts = dict(data.sweeps["Dstream"].series("DTS", "median_rtt_s"))
-    lstream_dts = dict(data.sweeps["Lstream"].series("DTS", "median_rtt_s"))
+    dstream_dts = curve(data.sweeps["Dstream"], "DTS", "median_rtt_s")
+    lstream_dts = curve(data.sweeps["Lstream"], "DTS", "median_rtt_s")
     assert dstream_dts[64] < lstream_dts[64]

@@ -15,15 +15,16 @@ from __future__ import annotations
 
 from repro.core import figure7
 from repro.metrics import format_table
-from .conftest import run_once
+from .conftest import curve, run_once
 
 
-def test_bench_figure7(benchmark, bench_settings):
+def test_bench_figure7(benchmark, bench_settings, bench_session):
     data = run_once(benchmark, figure7,
                     messages_per_producer=max(4, bench_settings["messages"] // 2),
                     consumer_counts=bench_settings["consumer_counts"],
                     runs=bench_settings["runs"],
-                    seed=bench_settings["seed"])
+                    seed=bench_settings["seed"],
+                    session=bench_session)
 
     print()
     print(format_table(data.rows,
@@ -32,9 +33,9 @@ def test_bench_figure7(benchmark, bench_settings):
     broadcast = data.sweeps["broadcast"]
     gather = data.sweeps["broadcast_gather"]
 
-    dts = dict(broadcast.series("DTS"))
-    prs = dict(broadcast.series("PRS(HAProxy)"))
-    mss = dict(broadcast.series("MSS"))
+    dts = curve(broadcast, "DTS")
+    prs = curve(broadcast, "PRS(HAProxy)")
+    mss = curve(broadcast, "MSS")
 
     # (a) PRS tracks DTS closely at scale; MSS bottlenecks well below both.
     assert prs[64] > 0.6 * dts[64]
@@ -45,9 +46,9 @@ def test_bench_figure7(benchmark, bench_settings):
     assert dts[64] < 4.0 * dts[16]
 
     # (b) gather RTTs: DTS and PRS comparable; all rise sharply with scale.
-    dts_rtt = dict(gather.series("DTS", "median_rtt_s"))
-    prs_rtt = dict(gather.series("PRS(HAProxy)", "median_rtt_s"))
-    mss_rtt = dict(gather.series("MSS", "median_rtt_s"))
+    dts_rtt = curve(gather, "DTS", "median_rtt_s")
+    prs_rtt = curve(gather, "PRS(HAProxy)", "median_rtt_s")
+    mss_rtt = curve(gather, "MSS", "median_rtt_s")
     assert prs_rtt[64] < 2.0 * dts_rtt[64]
     assert dts_rtt[64] > 3.0 * dts_rtt[4]
     assert mss_rtt[64] > 3.0 * mss_rtt[4]

@@ -27,12 +27,13 @@ def _quantile(cdf, prob):
     return x[min(idx, len(x) - 1)]
 
 
-def test_bench_figure8(benchmark, bench_settings):
+def test_bench_figure8(benchmark, bench_settings, bench_session):
     data = run_once(benchmark, figure8,
                     messages_per_producer=max(4, bench_settings["messages"] // 2),
                     consumer_counts=CDF_CONSUMER_COUNTS,
                     runs=bench_settings["runs"],
-                    seed=bench_settings["seed"])
+                    seed=bench_settings["seed"],
+                    session=bench_session)
 
     print()
     print(format_table(data.rows,

@@ -19,16 +19,16 @@ from repro.metrics import format_table
 from .conftest import run_once
 
 
-def test_bench_overhead_summary(benchmark, bench_settings):
+def test_bench_overhead_summary(benchmark, bench_settings, bench_session):
     def build():
         fig4 = figure4(messages_per_producer=bench_settings["messages"],
                        consumer_counts=(4, 16, 64),
                        architectures=("DTS", "PRS(HAProxy)", "MSS"),
-                       seed=bench_settings["seed"])
+                       seed=bench_settings["seed"], session=bench_session)
         fig6 = figure6(messages_per_producer=bench_settings["messages"],
                        consumer_counts=(4, 16, 64),
                        architectures=("DTS", "PRS(HAProxy)", "MSS"),
-                       seed=bench_settings["seed"])
+                       seed=bench_settings["seed"], session=bench_session)
         return overhead_summary(fig4, fig6)
 
     rows = run_once(benchmark, build)

@@ -5,7 +5,8 @@ A single producer broadcasts 4 MiB items to every consumer through a fanout
 exchange (the DDP weight fan-out / metric-collection motif of §5.1) and then
 gathers one reply per consumer per round.  The example reports broadcast
 throughput and gather RTT as the consumer count grows, showing the
-single-producer bottleneck the paper describes.
+single-producer bottleneck the paper describes.  Both patterns run as one
+sweep grid, split per pattern with ``SweepResult.where``.
 
 Run with::
 
@@ -14,7 +15,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro.harness import ConsumerSweep, ExperimentConfig
+from repro.harness import ExperimentConfig, run_sweep
 from repro.metrics import format_table
 
 
@@ -23,19 +24,15 @@ CONSUMER_COUNTS = (1, 2, 4, 8, 16)
 
 
 def main() -> None:
-    broadcast_base = ExperimentConfig(
+    base = ExperimentConfig(
         workload="Generic", pattern="broadcast", num_producers=1,
         messages_per_producer=6, seed=5)
-    gather_base = ExperimentConfig(
-        workload="Generic", pattern="broadcast_gather", num_producers=1,
-        messages_per_producer=6, seed=5)
-
-    broadcast = ConsumerSweep(broadcast_base, architectures=ARCHITECTURES,
-                              consumer_counts=CONSUMER_COUNTS,
-                              equal_producers=False).run()
-    gather = ConsumerSweep(gather_base, architectures=ARCHITECTURES,
-                           consumer_counts=CONSUMER_COUNTS,
-                           equal_producers=False).run()
+    grid = run_sweep(base, {"architecture": ARCHITECTURES,
+                            "pattern": ["broadcast", "broadcast_gather"],
+                            "consumers": CONSUMER_COUNTS},
+                     equal_producers=False)
+    broadcast = grid.where(pattern="broadcast")
+    gather = grid.where(pattern="broadcast_gather")
 
     print("Broadcast throughput (msgs/s received across all consumers) — Fig. 7a:")
     rows = []
@@ -58,8 +55,10 @@ def main() -> None:
     print(format_table(rows))
 
     print("\nObservations:")
-    dts_curve = dict(gather.series("DTS", "median_rtt_s"))
-    prs_curve = dict(gather.series("PRS(HAProxy)", "median_rtt_s"))
+    dts_curve = dict(gather.series("consumers", "median_rtt_s",
+                                   architecture="DTS"))
+    prs_curve = dict(gather.series("consumers", "median_rtt_s",
+                                   architecture="PRS(HAProxy)"))
     last = CONSUMER_COUNTS[-1]
     print(f"  - PRS tracks DTS closely for the broadcast fan-out "
           f"(at {last} consumers: DTS {dts_curve[last]:.2f}s vs "

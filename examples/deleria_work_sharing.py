@@ -14,9 +14,9 @@ Run with::
 
 from __future__ import annotations
 
-from repro.core import PAPER_ARCHITECTURES
-from repro.harness import ConsumerSweep, ExperimentConfig
-from repro.metrics import format_table, overhead_table
+from repro.core import PAPER_ARCHITECTURES, overheads
+from repro.harness import ExperimentConfig, run_sweep
+from repro.metrics import format_table
 from repro.workloads import DSTREAM
 
 
@@ -32,8 +32,8 @@ def main() -> None:
         seed=11,
     )
     consumer_counts = (1, 2, 4, 8, 16, 32)
-    sweep = ConsumerSweep(base, architectures=PAPER_ARCHITECTURES,
-                          consumer_counts=consumer_counts).run()
+    sweep = run_sweep(base, {"architecture": PAPER_ARCHITECTURES,
+                             "consumers": consumer_counts})
 
     print("\nAggregate consumer throughput (msgs/s) — Figure 4a, scaled down:")
     rows = []
@@ -49,16 +49,12 @@ def main() -> None:
     print(format_table(rows))
 
     # Overhead of each architecture vs the DTS baseline at the largest
-    # feasible point (the paper quotes "up to 2.5x" for this pattern).
+    # count, among the feasible points (the paper quotes "up to 2.5x" for
+    # this pattern).  groups() lines the architectures up per count.
     largest = consumer_counts[-1]
-    values = {arch: sweep.get(arch, largest).throughput_msgs_per_s
-              for arch in PAPER_ARCHITECTURES
-              if sweep.get(arch, largest) is not None
-              and sweep.get(arch, largest).feasible}
+    by_architecture = dict(sweep.groups())[(largest,)]
     print(f"\nThroughput overhead vs DTS at {largest} consumers:")
-    for entry in overhead_table(values, baseline="DTS",
-                                metric="throughput_msgs_per_s",
-                                higher_is_better=True):
+    for entry in overheads(by_architecture, "throughput_msgs_per_s"):
         print(f"  {entry.architecture:<22} {entry.factor:.2f}x")
 
     infeasible = [(arch, consumers) for arch in PAPER_ARCHITECTURES

@@ -15,7 +15,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro.core import compare_architectures
+from repro.core import compare_architectures, overheads
 from repro.metrics import format_table
 from repro.workloads import LSTREAM
 
@@ -38,7 +38,7 @@ def main() -> None:
     print(f"\nPer-message RTT, {consumers} producers / {consumers} consumers "
           "(work sharing with feedback):")
     rows = []
-    for architecture, result in comparison.results.items():
+    for (architecture,), result in comparison.results.items():
         rtt = result.pooled_rtt()
         rows.append({
             "architecture": architecture,
@@ -51,12 +51,13 @@ def main() -> None:
     print(format_table(rows))
 
     print("\nRTT overhead vs DTS (the paper reports up to 6.9x for MSS):")
-    for entry in comparison.rtt_overheads():
+    [((), by_architecture)] = comparison.groups()
+    for entry in overheads(by_architecture, "median_rtt_s"):
         print(f"  {entry.architecture:<22} {entry.factor:.2f}x")
 
     print("\nSteering interpretation:")
-    dts = comparison.results["DTS"].median_rtt_s
-    mss = comparison.results["MSS"].median_rtt_s
+    dts = comparison.get("DTS").median_rtt_s
+    mss = comparison.get("MSS").median_rtt_s
     print(f"  A beam-parameter correction loop sees ~{dts*1000:.0f} ms of "
           f"feedback latency over DTS but ~{mss*1000:.0f} ms over MSS at this "
           "scale; the managed architecture trades responsiveness for "

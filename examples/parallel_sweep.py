@@ -4,8 +4,8 @@
 This example demonstrates the execution engine behind every sweep, figure
 and CLI command:
 
-1. build a scenario grid (architecture x consumer count) with
-   :class:`~repro.harness.ScenarioSet`,
+1. sweep a grid (architecture x consumer count) with
+   :func:`~repro.harness.run_sweep`,
 2. run it under a serial session and a named parallel backend
    (``Session(backend="process", jobs=N)``) and verify the results are
    bit-identical (each point derives all randomness from its own config),
@@ -31,15 +31,15 @@ import time
 
 from repro.architectures import TestbedConfig
 from repro.harness import (
-    ConsumerSweep,
     ExecutionPolicy,
     ExperimentConfig,
     Session,
+    run_sweep,
 )
 from repro.metrics import format_table
 
-ARCHITECTURES = ["DTS", "PRS(HAProxy)", "MSS"]
-CONSUMER_COUNTS = [1, 2, 4, 8]
+AXES = {"architecture": ["DTS", "PRS(HAProxy)", "MSS"],
+        "consumers": [1, 2, 4, 8]}
 
 
 def base_config() -> ExperimentConfig:
@@ -54,18 +54,20 @@ def base_config() -> ExperimentConfig:
     )
 
 
-def main() -> None:
-    sweep = ConsumerSweep(base_config(), architectures=ARCHITECTURES,
-                          consumer_counts=CONSUMER_COUNTS)
+def sweep(session: Session):
+    """The (architecture, consumers) grid under one execution session."""
+    return run_sweep(base_config(), AXES, session=session)
 
+
+def main() -> None:
     start = time.perf_counter()
-    serial = sweep.run(session=Session())
+    serial = sweep(Session())
     serial_s = time.perf_counter() - start
 
     jobs = os.cpu_count() or 2
     start = time.perf_counter()
     with Session(backend="process", jobs=jobs) as session:
-        pooled = sweep.run(session=session)
+        pooled = sweep(session)
     pooled_s = time.perf_counter() - start
 
     print(f"serial: {serial_s:.2f}s   jobs={jobs}: {pooled_s:.2f}s")
@@ -76,10 +78,10 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         cache_path = os.path.join(tmp, "sweep-cache")
         with Session(cache=cache_path) as session:
-            sweep.run(session=session)  # populates the cache
+            sweep(session)  # populates the cache
         start = time.perf_counter()
         with Session(cache=cache_path) as session:
-            cached = sweep.run(session=session)
+            cached = sweep(session)
         cached_s = time.perf_counter() - start
         print(f"re-run from cache: {cached_s:.3f}s "
               f"(matches: {cached.rows() == serial.rows()})")
@@ -90,7 +92,7 @@ def main() -> None:
     # the session into every backend worker.
     policy = ExecutionPolicy(timeout_s=60.0, retries=2, on_error="record")
     with Session(jobs=jobs, policy=policy) as session:
-        guarded = sweep.run(session=session)
+        guarded = sweep(session)
     print(f"with policy {policy}: {len(guarded.failures)} failed point(s), "
           f"matches clean run: {guarded.rows() == serial.rows()}")
 

@@ -16,7 +16,12 @@ Run with::
 
 from __future__ import annotations
 
-from repro.core import compare_architectures, table1_text
+from repro.core import (
+    compare_architectures,
+    comparison_rows,
+    overheads,
+    table1_text,
+)
 from repro.harness import ExperimentConfig, Session, run_experiment
 from repro.metrics import format_table
 
@@ -61,11 +66,12 @@ def run_comparison() -> None:
             session=session,
         )
     print("\n== Architecture comparison (Dstream / work sharing / 4 consumers) ==")
-    print(format_table(comparison.rows(), columns=[
+    print(format_table(comparison_rows(comparison), columns=[
         "architecture", "throughput_msgs_per_s", "throughput_gbps",
         "throughput_overhead_vs_dts", "feasible"]))
     print("\nOverhead vs DTS (higher factor = more overhead):")
-    for entry in comparison.throughput_overheads():
+    [((), by_architecture)] = comparison.groups()
+    for entry in overheads(by_architecture, "throughput_msgs_per_s"):
         print(f"  {entry.architecture:<14} {entry.factor:.2f}x")
 
 

@@ -7,7 +7,7 @@ axes directly:
 
 1. build a product grid over arbitrary dotted config paths with
    :meth:`~repro.harness.ScenarioSet.product` /
-   :func:`~repro.harness.sensitivity_sweep` — here link bandwidth, DSN
+   :func:`~repro.harness.run_sweep` — here link bandwidth, DSN
    count and ack-policy mode around a small base scenario,
 2. read the long-format rows and per-axis series the sweep exposes,
 3. cache the grid into the *sharded* result-cache layout and re-run it
@@ -28,7 +28,7 @@ import time
 
 from repro.architectures import TestbedConfig
 from repro.core import figure_bandwidth_scaling
-from repro.harness import ExperimentConfig, Session, sensitivity_sweep
+from repro.harness import ExperimentConfig, Session, run_sweep
 from repro.metrics import format_table
 
 
@@ -52,8 +52,8 @@ AXES = {
 
 
 def main() -> None:
-    sweep = sensitivity_sweep(base_config(), AXES,
-                              session=Session(backend="process", jobs=2))
+    sweep = run_sweep(base_config(), AXES,
+                      session=Session(backend="process", jobs=2))
     print(format_table(sweep.rows("throughput_msgs_per_s"),
                        title=" x ".join(sweep.axis_names)))
 
@@ -69,12 +69,12 @@ def main() -> None:
         cache_path = os.path.join(tmp, "grid-cache")
         start = time.perf_counter()
         with Session(cache=cache_path) as session:
-            sensitivity_sweep(base_config(), AXES, session=session)
+            run_sweep(base_config(), AXES, session=session)
         cold_s = time.perf_counter() - start
 
         start = time.perf_counter()
         with Session(cache=cache_path) as session:
-            cached = sensitivity_sweep(base_config(), AXES, session=session)
+            cached = run_sweep(base_config(), AXES, session=session)
         warm_s = time.perf_counter() - start
         shards = len(os.listdir(cache_path))
         print(f"\nSharded cache: {len(cached)} points in {shards} shard "

@@ -56,6 +56,7 @@ from typing import Optional, Sequence
 from .analysis import configure_lint_parser, run_lint
 from .core import (
     compare_architectures,
+    comparison_rows,
     deployment_comparison,
     figure4,
     figure5,
@@ -71,13 +72,12 @@ from .faults import FAULT_AXES, FaultPlan
 from .harness import (
     ON_ERROR_MODES,
     PAPER_CONSUMER_COUNTS,
-    ConsumerSweep,
     ExperimentConfig,
     ScenarioSet,
     Session,
     backend_names,
+    run_sweep,
     scale_link_tiers,
-    sensitivity_sweep,
 )
 from .metrics import format_table, write_csv
 
@@ -446,7 +446,7 @@ def _cmd_compare(args: argparse.Namespace, session: Session) -> int:
         workload=args.workload, pattern=args.pattern, consumers=args.consumers,
         architectures=args.architectures, messages_per_producer=args.messages,
         runs=args.runs, seed=args.seed, session=session)
-    _emit(comparison.rows(),
+    _emit(comparison_rows(comparison),
           title=f"{args.workload} / {args.pattern} @ {args.consumers} consumers",
           csv_path=args.csv)
     _report_failures(comparison.failures)
@@ -460,15 +460,18 @@ def _cmd_sweep(args: argparse.Namespace, session: Session) -> int:
         num_producers=producers, num_consumers=args.consumers[0],
         messages_per_producer=args.messages, runs=args.runs, seed=args.seed,
         population=args.population)
-    sweep = ConsumerSweep(
-        base, architectures=args.architectures, consumer_counts=args.consumers,
-        equal_producers=not args.pattern.startswith("broadcast"))
-    result = sweep.run(session=session)
-    _emit(result.rows(args.metric),
+    sweep = run_sweep(
+        base, {"architecture": args.architectures,
+               "consumers": args.consumers},
+        equal_producers=not args.pattern.startswith("broadcast"),
+        session=session)
+    rows = [{"workload": args.workload, "pattern": args.pattern, **row}
+            for row in sweep.rows(args.metric)]
+    _emit(rows,
           title=f"{args.workload} / {args.pattern} sweep "
                 f"({', '.join(args.architectures)})",
           csv_path=args.csv)
-    _report_failures(result.failures)
+    _report_failures(sweep.failures)
     return 0
 
 
@@ -549,7 +552,7 @@ def _cmd_sensitivity(args: argparse.Namespace, session: Session) -> int:
         num_producers=producers, num_consumers=args.consumers,
         messages_per_producer=args.messages, runs=args.runs, seed=args.seed)
     try:
-        sweep = sensitivity_sweep(
+        sweep = run_sweep(
             base, axes,
             equal_producers=not args.pattern.startswith("broadcast"),
             transform=transform, session=session)

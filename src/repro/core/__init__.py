@@ -2,10 +2,12 @@
 
 This is the package most users interact with::
 
-    from repro.core import compare_architectures, figure4, table1_text
+    from repro.core import (compare_architectures, comparison_rows,
+                            figure4, table1_text)
 
     print(table1_text())
     comparison = compare_architectures(workload="Dstream", consumers=4)
+    rows = comparison_rows(comparison)
     fig4 = figure4(messages_per_producer=20)
 """
 
@@ -33,9 +35,10 @@ from .figures import (
 from .study import (
     BASELINE_ARCHITECTURE,
     PAPER_ARCHITECTURES,
-    ComparisonResult,
     compare_architectures,
+    comparison_rows,
     deployment_comparison,
+    overheads,
 )
 from .tables import (
     TABLE1_COLUMNS,
@@ -48,8 +51,9 @@ from .tables import (
 __all__ = [
     "ExperimentConfig",
     "run_experiment",
-    "ComparisonResult",
     "compare_architectures",
+    "comparison_rows",
+    "overheads",
     "deployment_comparison",
     "PAPER_ARCHITECTURES",
     "BASELINE_ARCHITECTURE",

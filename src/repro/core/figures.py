@@ -1,7 +1,9 @@
 """Regenerate the data behind every figure in the paper's evaluation.
 
-Each ``figureN`` function runs the corresponding experiment sweep and
-returns structured data (series per architecture, CDFs, rows for tables).
+Each ``figureN`` function runs the corresponding experiment grid as one
+:func:`~repro.harness.sweep.run_sweep` and returns structured data: the
+grid split per panel with :meth:`~repro.harness.sweep.SweepResult.where`,
+CDFs, and rows for tables.
 Absolute numbers differ from the paper — the substrate is a simulator, not
 the OLCF testbed — but the qualitative shapes (ordering, saturation points,
 overhead factors) are the reproduction target; see EXPERIMENTS.md.
@@ -30,15 +32,13 @@ from ..faults import FAULT_AXES, FaultPlan
 from ..harness import (
     PAPER_CONSUMER_COUNTS,
     ExperimentConfig,
-    ScenarioSet,
     Session,
     SweepResult,
-    run_scenarios,
+    run_sweep,
     scale_link_tiers,
-    sensitivity_sweep,
 )
-from ..metrics import empirical_cdf, overhead_table
-from .study import BASELINE_ARCHITECTURE, PAPER_ARCHITECTURES
+from ..metrics import empirical_cdf
+from .study import BASELINE_ARCHITECTURE, PAPER_ARCHITECTURES, overheads
 
 __all__ = [
     "FigureData",
@@ -75,7 +75,8 @@ class FigureData:
 
     figure: str
     description: str
-    #: ``sweeps[workload]`` -> :class:`SweepResult` (throughput / median RTT).
+    #: ``sweeps[panel]`` -> the panel's :class:`SweepResult`, e.g. an
+    #: (architecture, consumers) grid per workload.
     sweeps: dict[str, SweepResult] = field(default_factory=dict)
     #: ``cdfs[workload][consumers][architecture]`` -> (x, p) arrays.
     cdfs: dict[str, dict[int, dict[str, tuple[np.ndarray, np.ndarray]]]] = field(
@@ -83,20 +84,15 @@ class FigureData:
     #: Long-format rows suitable for tables / CSV export.
     rows: list[dict] = field(default_factory=list)
 
-    def series(self, workload: str, architecture: str,
-               metric: str = "throughput_msgs_per_s") -> list[tuple[int, float]]:
-        return self.sweeps[workload].series(architecture, metric)
-
 
 def _base_config(workload: str, pattern: str, *, messages_per_producer: int,
                  runs: int, seed: int, testbed: Optional[TestbedConfig],
                  **overrides) -> ExperimentConfig:
-    producers = 1 if pattern in ("broadcast", "broadcast_gather") else 1
     return ExperimentConfig(
         architecture=BASELINE_ARCHITECTURE,
         workload=workload,
         pattern=pattern,
-        num_producers=producers,
+        num_producers=1,
         num_consumers=1,
         messages_per_producer=messages_per_producer,
         runs=runs,
@@ -110,52 +106,64 @@ def _sweep_grid(workloads: Sequence[str], patterns: Sequence[str],
                 architectures: Sequence[str], consumer_counts: Iterable[int],
                 *, session: Session, messages_per_producer: int, runs: int,
                 seed: int, testbed: Optional[TestbedConfig],
-                equal_producers: bool = True
-                ) -> dict[tuple[str, str], SweepResult]:
-    """Sweeps for every (workload, pattern) cell, executed as ONE scenario
-    grid so a parallel session fans out across all of a figure's points,
-    not just within one sweep."""
-    consumer_counts = tuple(consumer_counts)
+                equal_producers: bool = True) -> SweepResult:
+    """Every (workload, pattern) cell of a figure as ONE grid over
+    architecture x workload x pattern x consumers, so a parallel session
+    fans out across all of a figure's points, not just within one cell.
+    Split it per cell with :meth:`SweepResult.where`."""
     base = _base_config(workloads[0], patterns[0],
                         messages_per_producer=messages_per_producer,
                         runs=runs, seed=seed, testbed=testbed)
-    scenarios = ScenarioSet.product(
+    return run_sweep(
         base, {"architecture": list(architectures),
                "workload": list(workloads), "pattern": list(patterns),
-               "consumers": consumer_counts},
-        equal_producers=equal_producers)
-    sweeps: dict[tuple[str, str], SweepResult] = {}
-    for workload in workloads:
-        for pattern in patterns:
-            sweeps[(workload, pattern)] = SweepResult(
-                workload=workload, pattern=pattern,
-                consumer_counts=consumer_counts)
-    for outcome in run_scenarios(scenarios, session=session):
-        axes = outcome.point.axes
-        sweep = sweeps[(axes["workload"], axes["pattern"])]
-        if not outcome.ok:
-            sweep.record_failure(outcome)
-            continue
-        sweep.results.setdefault(outcome.point.label, {})
-        sweep.results[outcome.point.label][axes["consumers"]] = outcome.result
-    return sweeps
+               "consumers": list(consumer_counts)},
+        equal_producers=equal_producers, session=session)
 
 
-def _collect_cdfs(sweep: SweepResult, consumer_counts: Iterable[int],
-                  cdf_points: int) -> dict[int, dict[str, tuple[np.ndarray, np.ndarray]]]:
+def _collect_cdfs(sweep: SweepResult, cdf_points: int
+                  ) -> dict[int, dict[str, tuple[np.ndarray, np.ndarray]]]:
+    """RTT CDFs of an (architecture, consumers) grid, per consumer count."""
     cdfs: dict[int, dict[str, tuple[np.ndarray, np.ndarray]]] = {}
-    for consumers in consumer_counts:
-        per_arch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for architecture in sweep.architectures():
+    for consumers in sweep.axes["consumers"]:
+        cdfs[consumers] = {}
+        for architecture in sweep.axes["architecture"]:
             result = sweep.get(architecture, consumers)
             if result is None or not result.feasible:
                 continue
-            samples = result.rtt_samples
-            if samples.size == 0:
-                continue
-            per_arch[architecture] = empirical_cdf(samples, points=cdf_points)
-        cdfs[consumers] = per_arch
+            samples = result.rtt_samples  # pooled anew on every read
+            if samples.size:
+                cdfs[consumers][architecture] = empirical_cdf(
+                    samples, points=cdf_points)
     return cdfs
+
+
+def _relative_rows(sweep: SweepResult, axis: str, *, column: str,
+                   ratio_column: str, workload: str, consumers: int,
+                   unit: Optional[float] = None) -> list[dict]:
+    """Throughput rows of an (architecture, ``axis``) grid, each with its
+    ratio to the same architecture at the axis's first value.  The axis
+    value lands in ``column``, divided by ``unit`` when one is given."""
+    first = sweep.axes[axis][0]
+    rows = []
+    for row in sweep.rows("throughput_msgs_per_s"):
+        reference = sweep.get(row["architecture"], first)
+        ratio = float("nan")
+        if (reference is not None and reference.feasible
+                and reference.throughput_msgs_per_s):
+            ratio = (row["throughput_msgs_per_s"]
+                     / reference.throughput_msgs_per_s)
+        rows.append({
+            "workload": workload,
+            "pattern": "work_sharing",
+            "architecture": row["architecture"],
+            "consumers": consumers,
+            column: row[axis] if unit is None else row[axis] / unit,
+            "feasible": row["feasible"],
+            "throughput_msgs_per_s": row["throughput_msgs_per_s"],
+            ratio_column: ratio,
+        })
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +182,12 @@ def figure4(*, workloads: Sequence[str] = ("Dstream", "Lstream"),
         figure="figure4",
         description="Aggregate consumer throughput vs consumer count, "
                     "work sharing pattern (Dstream and Lstream)")
-    sweeps = _sweep_grid(list(workloads), ["work_sharing"], architectures,
-                         consumer_counts, session=session,
-                         messages_per_producer=messages_per_producer, runs=runs,
-                         seed=seed, testbed=testbed)
+    grid = _sweep_grid(workloads, ["work_sharing"], architectures,
+                       consumer_counts, session=session,
+                       messages_per_producer=messages_per_producer, runs=runs,
+                       seed=seed, testbed=testbed)
     for workload in workloads:
-        sweep = sweeps[(workload, "work_sharing")]
+        sweep = grid.where(workload=workload, pattern="work_sharing")
         data.sweeps[workload] = sweep
         data.rows.extend(sweep.rows("throughput_msgs_per_s"))
     return data
@@ -201,12 +209,12 @@ def figure6(*, workloads: Sequence[str] = ("Dstream", "Lstream"),
         figure="figure6",
         description="Median per-message RTT vs consumer count, "
                     "work sharing with feedback (Dstream and Lstream)")
-    sweeps = _sweep_grid(list(workloads), ["work_sharing_feedback"],
-                         architectures, consumer_counts, session=session,
-                         messages_per_producer=messages_per_producer, runs=runs,
-                         seed=seed, testbed=testbed)
+    grid = _sweep_grid(workloads, ["work_sharing_feedback"], architectures,
+                       consumer_counts, session=session,
+                       messages_per_producer=messages_per_producer, runs=runs,
+                       seed=seed, testbed=testbed)
     for workload in workloads:
-        sweep = sweeps[(workload, "work_sharing_feedback")]
+        sweep = grid.where(workload=workload, pattern="work_sharing_feedback")
         data.sweeps[workload] = sweep
         data.rows.extend(sweep.rows("median_rtt_s"))
     return data
@@ -220,7 +228,6 @@ def figure5(*, workloads: Sequence[str] = ("Dstream", "Lstream"),
             testbed: Optional[TestbedConfig] = None,
             session: Optional[Session] = None) -> FigureData:
     """CDFs of per-message RTT under work sharing with feedback (Figure 5)."""
-    consumer_counts = tuple(consumer_counts)
     data = figure6(workloads=workloads, architectures=architectures,
                    consumer_counts=consumer_counts,
                    messages_per_producer=messages_per_producer, runs=runs,
@@ -229,7 +236,7 @@ def figure5(*, workloads: Sequence[str] = ("Dstream", "Lstream"),
     data.description = ("CDF of individual message RTTs, work sharing with "
                         "feedback (Dstream and Lstream), 1-64 consumers")
     for workload, sweep in data.sweeps.items():
-        data.cdfs[workload] = _collect_cdfs(sweep, consumer_counts, cdf_points)
+        data.cdfs[workload] = _collect_cdfs(sweep, cdf_points)
     return data
 
 
@@ -248,12 +255,12 @@ def figure7(*, architectures: Sequence[str] = BROADCAST_ARCHITECTURES,
         figure="figure7",
         description="(a) broadcast throughput and (b) broadcast+gather median "
                     "RTT for the generic workload")
-    sweeps = _sweep_grid(["Generic"], ["broadcast", "broadcast_gather"],
-                         architectures, consumer_counts, session=session,
-                         messages_per_producer=messages_per_producer, runs=runs,
-                         seed=seed, testbed=testbed, equal_producers=False)
-    broadcast = sweeps[("Generic", "broadcast")]
-    gather = sweeps[("Generic", "broadcast_gather")]
+    grid = _sweep_grid(["Generic"], ["broadcast", "broadcast_gather"],
+                       architectures, consumer_counts, session=session,
+                       messages_per_producer=messages_per_producer, runs=runs,
+                       seed=seed, testbed=testbed, equal_producers=False)
+    broadcast = grid.where(workload="Generic", pattern="broadcast")
+    gather = grid.where(workload="Generic", pattern="broadcast_gather")
     data.sweeps["broadcast"] = broadcast
     data.sweeps["broadcast_gather"] = gather
     for row in broadcast.rows("throughput_msgs_per_s"):
@@ -272,18 +279,18 @@ def figure8(*, architectures: Sequence[str] = BROADCAST_ARCHITECTURES,
             testbed: Optional[TestbedConfig] = None,
             session: Optional[Session] = None) -> FigureData:
     """CDFs of per-message RTT under broadcast and gather (Figure 8)."""
-    consumer_counts = tuple(consumer_counts)
     data = FigureData(
         figure="figure8",
         description="CDF of individual message RTTs, broadcast and gather "
                     "(generic workload), 1-64 consumers")
-    [sweep] = _sweep_grid(["Generic"], ["broadcast_gather"], architectures,
-                          consumer_counts, session=session,
-                          messages_per_producer=messages_per_producer,
-                          runs=runs, seed=seed, testbed=testbed,
-                          equal_producers=False).values()
+    sweep = _sweep_grid(["Generic"], ["broadcast_gather"], architectures,
+                        consumer_counts, session=session,
+                        messages_per_producer=messages_per_producer,
+                        runs=runs, seed=seed, testbed=testbed,
+                        equal_producers=False).where(
+        workload="Generic", pattern="broadcast_gather")
     data.sweeps["Generic"] = sweep
-    data.cdfs["Generic"] = _collect_cdfs(sweep, consumer_counts, cdf_points)
+    data.cdfs["Generic"] = _collect_cdfs(sweep, cdf_points)
     data.rows.extend(sweep.rows("median_rtt_s"))
     return data
 
@@ -318,7 +325,7 @@ def figure_bandwidth_scaling(*, workload: str = "Lstream",
     base = base.with_consumers(consumers)
     axis = "testbed.link_bandwidth_bps"
     transform = scale_link_tiers if scale_backbone else None
-    sweep = sensitivity_sweep(
+    sweep = run_sweep(
         base,
         {"architecture": list(architectures),
          axis: [speed * 1e9 for speed in speeds_gbps]},
@@ -328,25 +335,10 @@ def figure_bandwidth_scaling(*, workload: str = "Lstream",
         description=f"Aggregate throughput vs access-link bandwidth, "
                     f"work sharing ({workload}, {consumers} consumers)")
     data.sweeps["bandwidth"] = sweep
-    first_bps = speeds_gbps[0] * 1e9
-    for row in sweep.rows("throughput_msgs_per_s"):
-        bandwidth_bps = row.pop(axis)
-        reference = sweep.get(row["architecture"], first_bps)
-        speedup = float("nan")
-        if (reference is not None and reference.feasible
-                and reference.throughput_msgs_per_s):
-            speedup = (row["throughput_msgs_per_s"]
-                       / reference.throughput_msgs_per_s)
-        data.rows.append({
-            "workload": workload,
-            "pattern": "work_sharing",
-            "architecture": row["architecture"],
-            "consumers": consumers,
-            "link_gbps": bandwidth_bps / 1e9,
-            "feasible": row["feasible"],
-            "throughput_msgs_per_s": row["throughput_msgs_per_s"],
-            f"speedup_vs_{speeds_gbps[0]:g}gbps": speedup,
-        })
+    data.rows = _relative_rows(
+        sweep, axis, column="link_gbps",
+        ratio_column=f"speedup_vs_{speeds_gbps[0]:g}gbps",
+        workload=workload, consumers=consumers, unit=1e9)
     return data
 
 
@@ -380,34 +372,18 @@ def figure_chaos_degradation(*, fault_axis: str = "broker_kill_rate",
                         faults=plan or FaultPlan())
     base = base.with_consumers(consumers)
     axis = f"faults.{fault_axis}"
-    sweep = sensitivity_sweep(
-        base,
-        {"architecture": list(architectures), axis: list(rates)},
+    sweep = run_sweep(
+        base, {"architecture": list(architectures), axis: list(rates)},
         session=session)
     data = FigureData(
         figure="chaos",
         description=f"Throughput degradation vs {fault_axis}, "
                     f"work sharing ({workload}, {consumers} consumers)")
     data.sweeps["chaos"] = sweep
-    first_rate = rates[0]
-    for row in sweep.rows("throughput_msgs_per_s"):
-        rate = row.pop(axis)
-        reference = sweep.get(row["architecture"], first_rate)
-        degradation = float("nan")
-        if (reference is not None and reference.feasible
-                and reference.throughput_msgs_per_s):
-            degradation = (row["throughput_msgs_per_s"]
-                           / reference.throughput_msgs_per_s)
-        data.rows.append({
-            "workload": workload,
-            "pattern": "work_sharing",
-            "architecture": row["architecture"],
-            "consumers": consumers,
-            fault_axis: rate,
-            "feasible": row["feasible"],
-            "throughput_msgs_per_s": row["throughput_msgs_per_s"],
-            f"degradation_vs_{first_rate:g}": degradation,
-        })
+    data.rows = _relative_rows(
+        sweep, axis, column=fault_axis,
+        ratio_column=f"degradation_vs_{rates[0]:g}",
+        workload=workload, consumers=consumers)
     return data
 
 
@@ -419,38 +395,15 @@ def overhead_summary(figure4_data: FigureData, figure6_data: FigureData,
                      *, baseline: str = BASELINE_ARCHITECTURE) -> list[dict]:
     """PRS/MSS overhead factors vs DTS for throughput and median RTT."""
     rows: list[dict] = []
-    for workload, sweep in figure4_data.sweeps.items():
-        for consumers in sweep.consumer_counts:
-            values = {}
-            for architecture in sweep.architectures():
-                result = sweep.get(architecture, consumers)
-                if result is not None and result.feasible:
-                    values[architecture] = result.throughput_msgs_per_s
-            if baseline not in values:
-                continue
-            for entry in overhead_table(values, baseline=baseline,
-                                        metric="throughput_msgs_per_s",
-                                        higher_is_better=True):
-                row = entry.as_dict()
-                row.update({"workload": workload, "consumers": consumers,
-                            "pattern": "work_sharing"})
-                rows.append(row)
-    for workload, sweep in figure6_data.sweeps.items():
-        for consumers in sweep.consumer_counts:
-            values = {}
-            for architecture in sweep.architectures():
-                result = sweep.get(architecture, consumers)
-                if result is not None and result.feasible and result.rtt_samples.size:
-                    values[architecture] = result.median_rtt_s
-            if baseline not in values:
-                continue
-            for entry in overhead_table(values, baseline=baseline,
-                                        metric="median_rtt_s",
-                                        higher_is_better=False):
-                row = entry.as_dict()
-                row.update({"workload": workload, "consumers": consumers,
-                            "pattern": "work_sharing_feedback"})
-                rows.append(row)
+    for data, metric, pattern in (
+            (figure4_data, "throughput_msgs_per_s", "work_sharing"),
+            (figure6_data, "median_rtt_s", "work_sharing_feedback")):
+        for workload, sweep in data.sweeps.items():
+            for (consumers,), by_architecture in sweep.groups():
+                for entry in overheads(by_architecture, metric,
+                                       baseline=baseline):
+                    rows.append({**entry.as_dict(), "workload": workload,
+                                 "consumers": consumers, "pattern": pattern})
     return rows
 
 
@@ -458,18 +411,29 @@ def overhead_summary(figure4_data: FigureData, figure6_data: FigureData,
 # §6 ablations
 # ---------------------------------------------------------------------------
 
+def _ablation_sweep(workload: str, architectures: Sequence[str],
+                    consumer_counts: Iterable[int], *, session: Session,
+                    messages_per_producer: int, seed: int,
+                    testbed: Optional[TestbedConfig]) -> SweepResult:
+    """One workload's work-sharing (architecture, consumers) grid."""
+    return _sweep_grid([workload], ["work_sharing"], architectures,
+                       consumer_counts, session=session,
+                       messages_per_producer=messages_per_producer,
+                       runs=1, seed=seed, testbed=testbed).where(
+        workload=workload, pattern="work_sharing")
+
+
 def ablation_tunnel_type(*, workload: str = "Dstream",
                          consumer_counts: Iterable[int] = (1, 4, 16),
                          messages_per_producer: int = 15, seed: int = 1,
                          testbed: Optional[TestbedConfig] = None,
                          session: Optional[Session] = None) -> SweepResult:
     """PRS tunnel choice: Stunnel vs HAProxy vs Nginx."""
-    [sweep] = _sweep_grid([workload], ["work_sharing"],
-                          ["PRS(Stunnel)", "PRS(HAProxy)", "PRS(Nginx)"],
-                          consumer_counts, session=session,
-                          messages_per_producer=messages_per_producer,
-                          runs=1, seed=seed, testbed=testbed).values()
-    return sweep
+    return _ablation_sweep(
+        workload, ["PRS(Stunnel)", "PRS(HAProxy)", "PRS(Nginx)"],
+        consumer_counts,
+        session=session, messages_per_producer=messages_per_producer,
+        seed=seed, testbed=testbed)
 
 
 def ablation_proxy_connections(*, workload: str = "Dstream",
@@ -479,12 +443,10 @@ def ablation_proxy_connections(*, workload: str = "Dstream",
                                session: Optional[Session] = None,
                                ) -> SweepResult:
     """Number of parallel connections to the PRS proxies (1 vs 4)."""
-    [sweep] = _sweep_grid([workload], ["work_sharing"],
-                          ["PRS(HAProxy)", "PRS(HAProxy,4conns)"],
-                          consumer_counts, session=session,
-                          messages_per_producer=messages_per_producer,
-                          runs=1, seed=seed, testbed=testbed).values()
-    return sweep
+    return _ablation_sweep(
+        workload, ["PRS(HAProxy)", "PRS(HAProxy,4conns)"], consumer_counts,
+        session=session, messages_per_producer=messages_per_producer,
+        seed=seed, testbed=testbed)
 
 
 def ablation_mss_lb_bypass(*, workload: str = "Dstream",
@@ -493,12 +455,10 @@ def ablation_mss_lb_bypass(*, workload: str = "Dstream",
                            testbed: Optional[TestbedConfig] = None,
                            session: Optional[Session] = None) -> SweepResult:
     """§6 improvement: internal consumers bypass the MSS load balancer."""
-    [sweep] = _sweep_grid([workload], ["work_sharing"],
-                          ["MSS", "MSS(bypass)"],
-                          consumer_counts, session=session,
-                          messages_per_producer=messages_per_producer,
-                          runs=1, seed=seed, testbed=testbed).values()
-    return sweep
+    return _ablation_sweep(
+        workload, ["MSS", "MSS(bypass)"], consumer_counts,
+        session=session, messages_per_producer=messages_per_producer,
+        seed=seed, testbed=testbed)
 
 
 def ablation_link_speed(*, workload: str = "Lstream",
@@ -530,20 +490,16 @@ def ablation_work_queue_count(*, workload: str = "Dstream",
                               seed: int = 1,
                               session: Optional[Session] = None) -> list[dict]:
     """§5.2: the two-shared-work-queues choice vs one or four queues."""
-    scenarios = ScenarioSet()
-    for queue_count in queue_counts:
-        config = ExperimentConfig(
-            architecture="DTS", workload=workload, pattern="work_sharing",
-            num_producers=consumers, num_consumers=consumers,
-            messages_per_producer=messages_per_producer,
-            work_queue_count=queue_count, seed=seed)
-        scenarios.add_config(config, label=f"queues={queue_count}",
-                             work_queues=queue_count)
-    return [{"work_queues": outcome.point.axes["work_queues"],
+    base = ExperimentConfig(
+        architecture="DTS", workload=workload, pattern="work_sharing",
+        num_producers=consumers, num_consumers=consumers,
+        messages_per_producer=messages_per_producer, seed=seed)
+    sweep = run_sweep(base, {"work_queue_count": list(queue_counts)},
+                      session=session)
+    return [{"work_queues": queue_count,
              "consumers": consumers,
-             "throughput_msgs_per_s": outcome.result.throughput_msgs_per_s}
-            for outcome in run_scenarios(scenarios, session=session)
-            if outcome.ok]
+             "throughput_msgs_per_s": result.throughput_msgs_per_s}
+            for (queue_count,), result in sweep.results.items()]
 
 
 def ablation_network_layer_forwarding(*, workload: str = "Dstream",
@@ -554,9 +510,7 @@ def ablation_network_layer_forwarding(*, workload: str = "Dstream",
                                       session: Optional[Session] = None,
                                       ) -> SweepResult:
     """§6 future work: network-layer forwarding (EJFAT-style) vs DTS/PRS."""
-    [sweep] = _sweep_grid([workload], ["work_sharing"],
-                          ["DTS", "NLF", "PRS(HAProxy)"],
-                          consumer_counts, session=session,
-                          messages_per_producer=messages_per_producer,
-                          runs=1, seed=seed, testbed=testbed).values()
-    return sweep
+    return _ablation_sweep(
+        workload, ["DTS", "NLF", "PRS(HAProxy)"], consumer_counts,
+        session=session, messages_per_producer=messages_per_producer,
+        seed=seed, testbed=testbed)

@@ -7,7 +7,7 @@
 ``faults.consumer_churn``, ``faults.slow_consumer``) sweep like any other
 dotted grid coordinate through :meth:`ScenarioSet.product
 <repro.harness.runner.ScenarioSet.product>` and
-:func:`~repro.harness.sweep.sensitivity_sweep`.
+:func:`~repro.harness.sweep.run_sweep`.
 
 Determinism contract: plans expand into :class:`FaultSpec` schedules using
 derived RNG streams only (``streams.stream("faults", <kind>)``), one stream

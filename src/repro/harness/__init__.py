@@ -3,7 +3,9 @@ sessions, sweeps and result containers.
 
 Everything that "runs many experiment points" — consumer sweeps,
 architecture comparisons, figure regeneration, the CLI — goes through the
-unified scenario runner in :mod:`repro.harness.runner`.  Execution context
+unified scenario runner in :mod:`repro.harness.runner`, and every grid of
+experiment outcomes is collected by :func:`~repro.harness.sweep.run_sweep`
+into one coordinate-keyed :class:`~repro.harness.sweep.SweepResult`.  Execution context
 (named backend, result cache, execution policy, progress) travels as one
 :class:`~repro.harness.session.Session` object: build it once (directly,
 from ``REPRO_*`` environment variables via :meth:`Session.from_env`, or
@@ -64,11 +66,9 @@ from .runner import (
 from .session import ENV_PREFIX, Session
 from .sweep import (
     PAPER_CONSUMER_COUNTS,
-    ConsumerSweep,
-    SensitivitySweep,
     SweepResult,
+    run_sweep,
     scale_link_tiers,
-    sensitivity_sweep,
 )
 
 __all__ = [
@@ -80,10 +80,8 @@ __all__ = [
     "RunResult",
     "ExperimentResult",
     "PointFailure",
-    "ConsumerSweep",
     "SweepResult",
-    "SensitivitySweep",
-    "sensitivity_sweep",
+    "run_sweep",
     "scale_link_tiers",
     "PAPER_CONSUMER_COUNTS",
     "ScenarioPoint",

@@ -22,10 +22,9 @@ module is the single place where that grid is executed:
   call signature — they must honor the same :class:`ExecutionPolicy`
   contract in their workers.
 * :func:`run_scenarios` — the one entry point used by
-  :class:`~repro.harness.sweep.ConsumerSweep`,
-  :func:`~repro.core.study.compare_architectures`,
-  :func:`~repro.core.study.deployment_comparison`, the figure generators and
-  the CLI.  Execution context (backend, cache, policy, progress) is carried
+  :func:`~repro.harness.sweep.run_sweep` (behind every sweep, comparison
+  and figure), :func:`~repro.core.study.deployment_comparison` and the
+  CLI.  Execution context (backend, cache, policy, progress) is carried
   by a :class:`~repro.harness.session.Session`, the only way to pass it.
 
 Results can be cached to disk (:class:`~repro.harness.cache.ResultCache`) and

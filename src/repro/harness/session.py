@@ -10,7 +10,8 @@ takes ``session=`` and nothing else::
     with Session(backend="process", jobs=8, cache="out/cache",
                  policy=ExecutionPolicy(retries=2)) as session:
         outcomes = session.run(scenarios)
-        sweep = ConsumerSweep(base, architectures=archs).run(session=session)
+        sweep = run_sweep(base, {"architecture": archs,
+                                 "consumers": [1, 2, 4]}, session=session)
 
 Backends are addressed by *registry name* (``"serial"``, ``"process"``;
 see :func:`~repro.harness.runner.register_backend`), so a future

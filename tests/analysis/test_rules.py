@@ -115,7 +115,7 @@ def test_slots_rule_only_applies_to_listed_files():
 def test_backend_rule_exempts_sweep_style_run_methods():
     """run() without a `points` parameter is not the backend protocol."""
     source = make_source("""\
-        class ConsumerSweep:
+        class GridSweep:
             def run(self, *, session=None, policy=None):
                 return run_scenarios(self.scenarios, session=session,
                                      policy=policy)

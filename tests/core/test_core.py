@@ -11,10 +11,12 @@ from repro.cli import build_parser, main
 from repro.core import (
     architecture_comparison_rows,
     compare_architectures,
+    comparison_rows,
     deployment_comparison,
     figure4,
     figure5,
     figure7,
+    overheads,
     table1_rows,
     table1_text,
 )
@@ -73,12 +75,12 @@ def test_compare_architectures_overheads_relative_to_dts():
         workload="Dstream", pattern="work_sharing", consumers=2,
         architectures=["DTS", "MSS"], messages_per_producer=8,
         testbed=TINY_TESTBED)
-    assert set(comparison.results) == {"DTS", "MSS"}
-    overheads = comparison.throughput_overheads()
-    assert len(overheads) == 1
-    assert overheads[0].architecture == "MSS"
-    assert overheads[0].factor > 1.0
-    rows = comparison.rows()
+    [((), by_architecture)] = comparison.groups()
+    assert set(by_architecture) == {"DTS", "MSS"}
+    [entry] = overheads(by_architecture, "throughput_msgs_per_s")
+    assert entry.architecture == "MSS"
+    assert entry.factor > 1.0
+    rows = comparison_rows(comparison)
     dts_row = [r for r in rows if r["architecture"] == "DTS"][0]
     assert dts_row["throughput_overhead_vs_dts"] == 1.0
 
@@ -87,11 +89,13 @@ def test_compare_architectures_broadcast_uses_single_producer():
     comparison = compare_architectures(
         workload="Generic", pattern="broadcast_gather", consumers=2,
         architectures=["DTS"], messages_per_producer=3, testbed=TINY_TESTBED)
-    assert comparison.config.num_producers == 1
-    result = comparison.results["DTS"]
+    result = comparison.get("DTS")
+    assert result.num_producers == 1
     assert result.feasible
     assert result.median_rtt_s > 0
-    assert comparison.rtt_overheads() == []  # only the baseline present
+    [((), by_architecture)] = comparison.groups()
+    # Only the baseline is present, so there is nothing to compare.
+    assert overheads(by_architecture, "median_rtt_s") == []
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +107,9 @@ def test_figure4_structure_and_ordering():
                    consumer_counts=(1, 2), messages_per_producer=6,
                    testbed=TINY_TESTBED)
     assert data.figure == "figure4"
-    series_dts = data.series("Dstream", "DTS")
-    series_mss = data.series("Dstream", "MSS")
+    sweep = data.sweeps["Dstream"]
+    series_dts = sweep.series("consumers", architecture="DTS")
+    series_mss = sweep.series("consumers", architecture="MSS")
     assert [c for c, _ in series_dts] == [1, 2]
     # DTS outperforms MSS at every measured point (paper Figure 4).
     for (c1, dts_value), (c2, mss_value) in zip(series_dts, series_mss):

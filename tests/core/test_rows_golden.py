@@ -33,6 +33,7 @@ from repro.core import (
     ablation_tunnel_type,
     ablation_work_queue_count,
     compare_architectures,
+    comparison_rows,
     figure4,
     figure5,
     figure6,
@@ -41,6 +42,7 @@ from repro.core import (
     figure_bandwidth_scaling,
     figure_chaos_degradation,
     overhead_summary,
+    overheads,
 )
 
 TINY = TestbedConfig(producer_nodes=4, consumer_nodes=4)
@@ -134,6 +136,7 @@ def _collect() -> dict:
     fig8 = figure8(**GRID)
     feedback = compare_architectures(pattern="work_sharing_feedback",
                                      testbed=TINY, **POINT)
+    [((), by_architecture)] = feedback.groups()
     outputs = {
         "figure4_rows": fig4.rows,
         "figure5_rows": fig5.rows,
@@ -154,15 +157,18 @@ def _collect() -> dict:
         "ablation_work_queue_count": ablation_work_queue_count(**POINT),
         "ablation_network_layer_forwarding":
             ablation_network_layer_forwarding(**GRID).rows(),
-        "compare_rows": compare_architectures(testbed=TINY, **POINT).rows(),
-        "compare_axis_rows": compare_architectures(
+        "compare_rows": comparison_rows(
+            compare_architectures(testbed=TINY, **POINT)),
+        "compare_axis_rows": comparison_rows(compare_architectures(
             architectures=RTT_ARCHITECTURES, testbed=TINY,
-            axes={"testbed.dsn_count": [1, 3]}, **POINT).rows(),
-        "compare_feedback_rows": feedback.rows(),
+            axes={"testbed.dsn_count": [1, 3]}, **POINT)),
+        "compare_feedback_rows": comparison_rows(feedback),
         "compare_throughput_overheads":
-            [entry.as_dict() for entry in feedback.throughput_overheads()],
+            [entry.as_dict() for entry in
+             overheads(by_architecture, "throughput_msgs_per_s")],
         "compare_rtt_overheads":
-            [entry.as_dict() for entry in feedback.rtt_overheads()],
+            [entry.as_dict() for entry in
+             overheads(by_architecture, "median_rtt_s")],
     }
     return {name: json.dumps(output) for name, output in outputs.items()}
 

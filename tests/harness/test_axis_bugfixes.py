@@ -11,11 +11,11 @@ import pytest
 from repro.architectures import TestbedConfig
 from repro.cli import build_parser
 from repro.harness import (
-    ConsumerSweep,
     ExperimentConfig,
     ScenarioPoint,
     ScenarioSet,
     run_scenarios,
+    run_sweep,
 )
 from repro.harness.runner import _call_with_timeout
 
@@ -84,40 +84,18 @@ def test_grid_rejects_explicitly_empty_axis(axis):
 
 
 # ---------------------------------------------------------------------------
-# ConsumerSweep progress: axes dict, no KeyError on consumer-less points
+# Sweep progress: each point with its full axes dict
 # ---------------------------------------------------------------------------
 
 def test_consumer_sweep_progress_receives_full_axes():
     seen = []
-    sweep = ConsumerSweep(tiny_config(), architectures=["DTS"],
-                          consumer_counts=[1, 2])
-    sweep.run(progress=lambda label, consumers, axes:
-              seen.append((label, consumers, axes)))
-    assert [(label, consumers) for label, consumers, _ in seen] == [
+    run_sweep(tiny_config(), {"architecture": ["DTS"], "consumers": [1, 2]},
+              progress=lambda point: seen.append(point))
+    assert [(point.label, point.axes["consumers"]) for point in seen] == [
         ("DTS", 1), ("DTS", 2)]
-    for _, consumers, axes in seen:
-        assert axes["consumers"] == consumers
-        assert set(axes) == {"architecture", "consumers"}
-
-
-def test_progress_tolerates_points_without_consumer_axis():
-    # The sweep's own progress shim must not KeyError on foreign points;
-    # simulate one by invoking the shim the way run_scenarios would.
-    captured = []
-    sweep = ConsumerSweep(tiny_config(), architectures=["DTS"],
-                          consumer_counts=[1])
-
-    def progress(label, consumers, axes):
-        captured.append((label, consumers, axes))
-
-    # Reach the internal shim through run(): patch the scenario set to
-    # include a point with no "consumers" axis.
-    scenarios = sweep.scenario_set()
-    foreign = ScenarioPoint(config=tiny_config(), axes={"link_gbps": 1})
-    scenarios.add(foreign)
-    sweep.scenario_set = lambda: scenarios  # type: ignore[method-assign]
-    sweep.run(progress=progress)
-    assert captured[-1] == ("DTS", None, {"link_gbps": 1})
+    for point in seen:
+        assert point.axes == {"architecture": "DTS",
+                              "consumers": point.config.num_consumers}
 
 
 # ---------------------------------------------------------------------------

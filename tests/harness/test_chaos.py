@@ -202,11 +202,10 @@ def test_product_accepts_fault_axes_on_faults_none_base():
 # Failure rows carry the full point coordinates
 # ---------------------------------------------------------------------------
 
-def test_failure_rows_carry_fault_and_population_coordinates(monkeypatch):
-    """A chaos sweep's dead points must be attributable: the failure row
-    names the fault coordinates (and population) alongside the swept
-    axes."""
-    from repro.harness import ExecutionPolicy, sensitivity_sweep
+def _failure_row_with_chaos_crash(monkeypatch, collect) -> dict:
+    """The one failure row of a broker-kill sweep whose active-fault point
+    crashes, collected by ``collect(axes, session)``."""
+    from repro.harness import ExecutionPolicy
     from repro.harness import runner as runner_module
     from repro.harness.runner import execute_point
 
@@ -216,12 +215,38 @@ def test_failure_rows_carry_fault_and_population_coordinates(monkeypatch):
         return execute_point(point)
 
     monkeypatch.setattr(runner_module, "execute_point", crash_on_chaos)
-    base = tiny_config(faults=FaultPlan(), population=3)
-    sweep = sensitivity_sweep(
-        base, {"faults.broker_kill_rate": [0.0, 1.0]},
-        session=Session(policy=ExecutionPolicy(on_error="record")))
+    sweep = collect({"faults.broker_kill_rate": [0.0, 1.0]},
+                    Session(policy=ExecutionPolicy(on_error="record")))
     assert len(sweep.failures) == 1
-    row = sweep.failures[0].as_row()
+    return sweep.failures[0].as_row()
+
+
+def test_failure_rows_carry_fault_and_population_coordinates(monkeypatch):
+    """A chaos sweep's dead points must be attributable: the failure row
+    names the fault coordinates (and population) alongside the swept
+    axes."""
+    from repro.harness import run_sweep
+
+    row = _failure_row_with_chaos_crash(
+        monkeypatch, lambda axes, session: run_sweep(
+            tiny_config(faults=FaultPlan(), population=3), axes,
+            session=session))
+    assert row["faults.broker_kill_rate"] == 1.0
+    assert row["population"] == 3
+    assert "injected chaos crash" in row["error"]
+
+
+def test_compare_failure_rows_carry_fault_and_population_coordinates(
+        monkeypatch):
+    """The same holds for a comparison: its failures carry the full point
+    coordinates too, not just the swept axes."""
+    from repro.core import compare_architectures
+
+    row = _failure_row_with_chaos_crash(
+        monkeypatch, lambda axes, session: compare_architectures(
+            architectures=["DTS"], consumers=2, messages_per_producer=4,
+            testbed=TestbedConfig(producer_nodes=4, consumer_nodes=4),
+            axes=axes, faults=FaultPlan(), population=3, session=session))
     assert row["faults.broker_kill_rate"] == 1.0
     assert row["population"] == 3
     assert "injected chaos crash" in row["error"]

@@ -10,8 +10,8 @@ from repro.architectures import TestbedConfig
 from repro.harness import (
     Experiment,
     ExperimentConfig,
-    ConsumerSweep,
     run_experiment,
+    run_sweep,
 )
 
 
@@ -80,12 +80,16 @@ def test_prs_stunnel_feasible_at_16_consumers():
     assert result.completed
 
 
+def consumer_sweep(base, architectures, consumer_counts):
+    return run_sweep(base, {"architecture": architectures,
+                            "consumers": consumer_counts})
+
+
 def test_sweep_collects_all_points_and_series():
     base = tiny_config(messages_per_producer=6)
-    sweep = ConsumerSweep(base, architectures=["DTS", "MSS"],
-                          consumer_counts=[1, 2]).run()
-    assert set(sweep.architectures()) == {"DTS", "MSS"}
-    dts_series = sweep.series("DTS")
+    sweep = consumer_sweep(base, ["DTS", "MSS"], [1, 2])
+    assert sweep.axes["architecture"] == ("DTS", "MSS")
+    dts_series = sweep.series("consumers", architecture="DTS")
     assert [c for c, _ in dts_series] == [1, 2]
     assert all(v > 0 for _, v in dts_series)
     rows = sweep.rows()
@@ -96,7 +100,7 @@ def test_sweep_collects_all_points_and_series():
 
 def test_sweep_equal_producers_scaling():
     base = tiny_config(messages_per_producer=4)
-    sweep = ConsumerSweep(base, architectures=["DTS"], consumer_counts=[1, 4]).run()
+    sweep = consumer_sweep(base, ["DTS"], [1, 4])
     result = sweep.get("DTS", 4)
     assert result.num_producers == 4
     assert result.num_consumers == 4
@@ -105,9 +109,8 @@ def test_sweep_equal_producers_scaling():
 def test_sweep_series_skips_infeasible_points():
     base = tiny_config(architecture="PRS(Stunnel)", messages_per_producer=2,
                        testbed=TestbedConfig(producer_nodes=16, consumer_nodes=16))
-    sweep = ConsumerSweep(base, architectures=["PRS(Stunnel)"],
-                          consumer_counts=[1, 32]).run()
-    series = sweep.series("PRS(Stunnel)")
+    sweep = consumer_sweep(base, ["PRS(Stunnel)"], [1, 32])
+    series = sweep.series("consumers", architecture="PRS(Stunnel)")
     assert [c for c, _ in series] == [1]
     rows = sweep.rows()
     infeasible = [r for r in rows if r["consumers"] == 32][0]
@@ -117,8 +120,7 @@ def test_sweep_series_skips_infeasible_points():
 
 def test_architecture_ordering_dts_fastest_on_small_sweep():
     base = tiny_config(messages_per_producer=8)
-    sweep = ConsumerSweep(base, architectures=["DTS", "PRS(HAProxy)", "MSS"],
-                          consumer_counts=[4]).run()
+    sweep = consumer_sweep(base, ["DTS", "PRS(HAProxy)", "MSS"], [4])
     dts = sweep.get("DTS", 4).throughput_msgs_per_s
     prs = sweep.get("PRS(HAProxy)", 4).throughput_msgs_per_s
     mss = sweep.get("MSS", 4).throughput_msgs_per_s

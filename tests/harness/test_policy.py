@@ -9,7 +9,6 @@ import pytest
 
 from repro.architectures import TestbedConfig
 from repro.harness import (
-    ConsumerSweep,
     ExecutionPolicy,
     ProcessPoolBackend,
     ScenarioError,
@@ -18,6 +17,7 @@ from repro.harness import (
     SerialBackend,
     Session,
     run_scenarios,
+    run_sweep,
 )
 from repro.harness import runner as runner_module
 from repro.harness.runner import execute_point
@@ -224,11 +224,10 @@ def test_on_error_record_under_process_pool(monkeypatch):
 
 def test_sweep_records_failures_instead_of_dying(monkeypatch):
     _seed_crasher(monkeypatch, bad_seed=1)  # every point in this sweep
-    sweep = ConsumerSweep(tiny_config(), architectures=["DTS"],
-                          consumer_counts=[1, 2])
-    result = sweep.run(
+    result = run_sweep(
+        tiny_config(), {"architecture": ["DTS"], "consumers": [1, 2]},
         session=Session(policy=ExecutionPolicy(on_error="record")))
-    assert result.results["DTS"] == {}
+    assert result.results == {}
     assert len(result.failures) == 2
     rows = [failure.as_row() for failure in result.failures]
     assert rows[0]["architecture"] == "DTS"

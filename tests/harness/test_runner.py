@@ -10,7 +10,6 @@ import pytest
 
 from repro.architectures import TestbedConfig
 from repro.harness import (
-    ConsumerSweep,
     ExperimentConfig,
     ExperimentResult,
     ProcessPoolBackend,
@@ -22,6 +21,7 @@ from repro.harness import (
     Session,
     resolve_backend,
     run_scenarios,
+    run_sweep,
 )
 from repro.harness.runner import execute_point
 
@@ -129,10 +129,9 @@ def test_resolve_backend_prefers_explicit_then_jobs():
 
 
 def test_pool_results_bit_identical_to_serial():
-    sweep = ConsumerSweep(tiny_config(), architectures=["DTS", "MSS"],
-                          consumer_counts=[1, 2])
-    serial = sweep.run()
-    pooled = sweep.run(session=Session(jobs=2))
+    axes = {"architecture": ["DTS", "MSS"], "consumers": [1, 2]}
+    serial = run_sweep(tiny_config(), axes)
+    pooled = run_sweep(tiny_config(), axes, session=Session(jobs=2))
     assert serial.rows() == pooled.rows()
     assert same_rows(serial.rows("median_rtt_s"), pooled.rows("median_rtt_s"))
 
@@ -256,10 +255,9 @@ def test_cache_round_trip_and_reuse(tmp_path):
 
 def test_cached_sweep_matches_fresh_sweep(tmp_path):
     path = str(tmp_path / "sweep.json")
-    sweep = ConsumerSweep(tiny_config(), architectures=["DTS"],
-                          consumer_counts=[1, 2])
-    fresh = sweep.run(session=Session(cache=path))
-    cached = sweep.run(session=Session(cache=path))
+    axes = {"architecture": ["DTS"], "consumers": [1, 2]}
+    fresh = run_sweep(tiny_config(), axes, session=Session(cache=path))
+    cached = run_sweep(tiny_config(), axes, session=Session(cache=path))
     assert fresh.rows() == cached.rows()
 
 

@@ -1,5 +1,6 @@
-"""Testbed-axis sensitivity grids: ScenarioSet.product, sensitivity_sweep,
-the bandwidth figure and the compare_architectures axes passthrough."""
+"""Testbed-axis sensitivity grids: ScenarioSet.product, run_sweep and
+SweepResult, the bandwidth figure and the compare_architectures axes
+passthrough."""
 
 from __future__ import annotations
 
@@ -9,14 +10,19 @@ import pytest
 
 from repro.amqp import AckPolicy
 from repro.architectures import TestbedConfig
-from repro.core import compare_architectures, figure_bandwidth_scaling
+from repro.core import (
+    compare_architectures,
+    comparison_rows,
+    figure_bandwidth_scaling,
+    overheads,
+)
 from repro.harness import (
     ExperimentConfig,
     ProcessPoolBackend,
     ScenarioSet,
     SerialBackend,
     Session,
-    sensitivity_sweep,
+    run_sweep,
 )
 
 
@@ -147,11 +153,11 @@ def test_map_configs_rewrites_configs_in_place():
 
 
 # ---------------------------------------------------------------------------
-# sensitivity_sweep
+# run_sweep over testbed axes
 # ---------------------------------------------------------------------------
 
 def test_sensitivity_sweep_long_format_rows():
-    sweep = sensitivity_sweep(tiny_config(), {
+    sweep = run_sweep(tiny_config(), {
         "architecture": ["DTS", "MSS"],
         "testbed.dsn_count": [1, 3],
     })
@@ -171,7 +177,7 @@ def test_sensitivity_sweep_long_format_rows():
 
 
 def test_sensitivity_sweep_series_requires_pinning_free_axes():
-    sweep = sensitivity_sweep(tiny_config(), {
+    sweep = run_sweep(tiny_config(), {
         "architecture": ["DTS", "MSS"],
         "testbed.dsn_count": [1, 3],
     })
@@ -183,14 +189,22 @@ def test_sensitivity_sweep_series_requires_pinning_free_axes():
         sweep.series("nope", architecture="DTS")
     with pytest.raises(ValueError, match="unknown fixed"):
         sweep.series("testbed.dsn_count", architecure="DTS")  # typo
+    # A value typo names the axis's values instead of returning [].
+    with pytest.raises(ValueError, match=r"\('DTS', 'MSS'\)"):
+        sweep.series("testbed.dsn_count", architecture="DTs")
+    with pytest.raises(ValueError, match=r"\(1, 3\)"):
+        sweep.where(**{"testbed.dsn_count": 2})
+    # A sub-grid without the architecture axis has nothing to group.
+    with pytest.raises(ValueError, match="unknown axis"):
+        sweep.where(architecture="DTS").groups()
 
 
 def test_sensitivity_sweep_pool_bit_identical_to_serial():
     axes = {"architecture": ["DTS", "MSS"],
             "testbed.link_bandwidth_bps": [1e9, 100e9]}
-    serial = sensitivity_sweep(tiny_config(), axes,
-                               session=Session(backend=SerialBackend()))
-    pooled = sensitivity_sweep(
+    serial = run_sweep(tiny_config(), axes,
+                       session=Session(backend=SerialBackend()))
+    pooled = run_sweep(
         tiny_config(), axes, session=Session(backend=ProcessPoolBackend(2)))
     assert serial.rows() == pooled.rows()
 
@@ -198,7 +212,7 @@ def test_sensitivity_sweep_pool_bit_identical_to_serial():
 def test_ack_policy_mode_changes_results():
     axes = {"testbed.ack_policy.mode": ["batch", "per_message",
                                         "fire_and_forget"]}
-    sweep = sensitivity_sweep(tiny_config(messages_per_producer=8), axes)
+    sweep = run_sweep(tiny_config(messages_per_producer=8), axes)
     by_mode = {mode: sweep.get(mode).throughput_msgs_per_s
                for mode in axes["testbed.ack_policy.mode"]}
     # Per-message confirms cost a round trip per publish; batch amortizes
@@ -270,10 +284,12 @@ def test_compare_architectures_axes_grid_and_rows():
         workload="Dstream", pattern="work_sharing", consumers=2,
         architectures=["DTS", "MSS"], messages_per_producer=6,
         testbed=tiny_testbed(), axes={"testbed.dsn_count": [1, 3]})
-    assert comparison.axes == {"testbed.dsn_count": (1, 3)}
-    assert set(comparison.grid) == {(1,), (3,)}
-    assert set(comparison.grid[(1,)]) == {"DTS", "MSS"}
-    rows = comparison.rows()
+    assert comparison.axes == {"architecture": ("DTS", "MSS"),
+                               "testbed.dsn_count": (1, 3)}
+    groups = dict(comparison.groups())
+    assert set(groups) == {(1,), (3,)}
+    assert set(groups[(1,)]) == {"DTS", "MSS"}
+    rows = comparison_rows(comparison)
     assert len(rows) == 4
     # Overheads are computed against the baseline at the same coordinate.
     for row in rows:
@@ -286,14 +302,19 @@ def test_compare_architectures_axes_grid_and_rows():
 
 
 def test_compare_architectures_axes_redirects_overhead_accessors():
+    """With extra axes, overheads are read per coordinate group: each
+    group's factors are against the baseline at that coordinate."""
     comparison = compare_architectures(
         workload="Dstream", pattern="work_sharing", consumers=2,
         architectures=["DTS", "MSS"], messages_per_producer=6,
         testbed=tiny_testbed(), axes={"testbed.dsn_count": [1, 3]})
-    with pytest.raises(ValueError, match="per-coordinate"):
-        comparison.throughput_overheads()
-    with pytest.raises(ValueError, match="per-coordinate"):
-        comparison.rtt_overheads()
+    for (dsn_count,), by_architecture in comparison.groups():
+        [entry] = overheads(by_architecture, "throughput_msgs_per_s")
+        assert entry.architecture == "MSS"
+        assert entry.baseline_value == comparison.get(
+            "DTS", dsn_count).throughput_msgs_per_s
+        # Work sharing has no replies, so there is no RTT to compare.
+        assert overheads(by_architecture, "median_rtt_s") == []
 
 
 def test_compare_architectures_axes_rejects_architecture_axis():
@@ -308,10 +329,10 @@ def test_compare_architectures_without_axes_unchanged():
         workload="Dstream", pattern="work_sharing", consumers=2,
         architectures=["DTS", "MSS"], messages_per_producer=6,
         testbed=tiny_testbed())
-    assert comparison.axes == {}
-    assert set(comparison.results) == {"DTS", "MSS"}
-    assert set(comparison.grid) == {()}
-    assert len(comparison.rows()) == 2
+    assert comparison.axis_names == ("architecture",)
+    assert set(comparison.results) == {("DTS",), ("MSS",)}
+    assert [others for others, _ in comparison.groups()] == [()]
+    assert len(comparison_rows(comparison)) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import pytest
 
 from repro.architectures import TestbedConfig
 from repro.harness import (
-    ConsumerSweep,
     ExecutionPolicy,
     ExperimentConfig,
     ProcessPoolBackend,
@@ -27,6 +26,7 @@ from repro.harness import (
     register_backend,
     resolve_backend,
     run_scenarios,
+    run_sweep,
     unregister_backend,
 )
 
@@ -173,8 +173,7 @@ def test_context_manager_flushes_cache_and_closes(tmp_path):
     with pytest.raises(RuntimeError, match="closed"):
         run_scenarios(one_point(), session=session)
     with pytest.raises(RuntimeError, match="closed"):
-        ConsumerSweep(tiny_config(), architectures=["DTS"],
-                      consumer_counts=[2]).run(session=session)
+        run_sweep(tiny_config(), {"consumers": [2]}, session=session)
     with pytest.raises(RuntimeError, match="closed"):
         with session:
             pass  # pragma: no cover - must not be reached
@@ -282,7 +281,7 @@ def _entry_points():
     from repro.core import figures, study, tables
     from repro.harness import sweep
 
-    functions = [run_scenarios, ConsumerSweep.run, sweep.sensitivity_sweep,
+    functions = [run_scenarios, sweep.run_sweep,
                  study.compare_architectures, study.deployment_comparison,
                  tables.architecture_comparison_rows,
                  tables.architecture_comparison_text]
@@ -293,7 +292,7 @@ def _entry_points():
 
 def test_entry_points_take_session_and_no_legacy_keywords():
     functions = _entry_points()
-    assert len(functions) == 20
+    assert len(functions) == 19
     for function in functions:
         params = inspect.signature(function).parameters
         assert "session" in params, function.__qualname__
@@ -308,8 +307,7 @@ def test_legacy_keyword_is_a_type_error(keyword):
     with pytest.raises(TypeError, match=keyword):
         run_scenarios(one_point(), **{keyword: None})
     with pytest.raises(TypeError, match=keyword):
-        ConsumerSweep(tiny_config(), architectures=["DTS"],
-                      consumer_counts=[2]).run(**{keyword: None})
+        run_sweep(tiny_config(), {"consumers": [2]}, **{keyword: None})
     # Its **config_overrides pass the keyword on to ExperimentConfig,
     # which has no such field either.
     with pytest.raises(TypeError, match=keyword):
