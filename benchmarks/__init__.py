@@ -1,6 +1,6 @@
 """Benchmark suite package marker.
 
 The package marker (together with pytest's ``--import-mode=importlib``)
-lets the bench modules use ``from .conftest import run_once`` regardless of
+lets the bench modules use ``from .conftest import curve`` regardless of
 how pytest is invoked.
 """

@@ -19,15 +19,14 @@ from repro.core import (
     ablation_work_queue_count,
 )
 from repro.metrics import format_table
-from .conftest import curve, run_once
+from .conftest import curve
 
 
-def test_bench_ablation_tunnel_type(benchmark, bench_settings,
-                                    bench_session):
-    sweep = run_once(benchmark, ablation_tunnel_type,
-                     consumer_counts=(1, 4, 16),
-                     messages_per_producer=bench_settings["messages"],
-                     seed=bench_settings["seed"], session=bench_session)
+def test_bench_ablation_tunnel_type(bench_settings, bench_session):
+    sweep = ablation_tunnel_type(
+        consumer_counts=(1, 4, 16),
+        messages_per_producer=bench_settings["messages"],
+        seed=bench_settings["seed"], session=bench_session)
     print()
     print(format_table(sweep.rows(), title="Ablation: PRS tunnel proxy type"))
     haproxy = curve(sweep, "PRS(HAProxy)")
@@ -38,12 +37,11 @@ def test_bench_ablation_tunnel_type(benchmark, bench_settings,
     assert 0.5 < nginx[16] / haproxy[16] < 1.5
 
 
-def test_bench_ablation_proxy_connections(benchmark, bench_settings,
-                                          bench_session):
-    sweep = run_once(benchmark, ablation_proxy_connections,
-                     consumer_counts=(1, 4, 16),
-                     messages_per_producer=bench_settings["messages"],
-                     seed=bench_settings["seed"], session=bench_session)
+def test_bench_ablation_proxy_connections(bench_settings, bench_session):
+    sweep = ablation_proxy_connections(
+        consumer_counts=(1, 4, 16),
+        messages_per_producer=bench_settings["messages"],
+        seed=bench_settings["seed"], session=bench_session)
     print()
     print(format_table(sweep.rows(), title="Ablation: PRS parallel connections"))
     one = curve(sweep, "PRS(HAProxy)")
@@ -53,12 +51,11 @@ def test_bench_ablation_proxy_connections(benchmark, bench_settings,
         assert abs(four[consumers] - one[consumers]) < 0.25 * one[consumers]
 
 
-def test_bench_ablation_mss_lb_bypass(benchmark, bench_settings,
-                                      bench_session):
-    sweep = run_once(benchmark, ablation_mss_lb_bypass,
-                     consumer_counts=(4, 16, 64),
-                     messages_per_producer=bench_settings["messages"],
-                     seed=bench_settings["seed"], session=bench_session)
+def test_bench_ablation_mss_lb_bypass(bench_settings, bench_session):
+    sweep = ablation_mss_lb_bypass(
+        consumer_counts=(4, 16, 64),
+        messages_per_producer=bench_settings["messages"],
+        seed=bench_settings["seed"], session=bench_session)
     print()
     print(format_table(sweep.rows(), title="Ablation: MSS load-balancer bypass"))
     mss = curve(sweep, "MSS")
@@ -68,10 +65,9 @@ def test_bench_ablation_mss_lb_bypass(benchmark, bench_settings,
     assert bypass[16] > mss[16]
 
 
-def test_bench_ablation_link_speed(benchmark, bench_session):
-    rows = run_once(benchmark, ablation_link_speed,
-                    consumers=8, messages_per_producer=6,
-                    speeds_gbps=(1, 10), session=bench_session)
+def test_bench_ablation_link_speed(bench_session):
+    rows = ablation_link_speed(consumers=8, messages_per_producer=6,
+                               speeds_gbps=(1, 10), session=bench_session)
     print()
     print(format_table(rows, title="Ablation: access/backbone link speed"))
     by_key = {(row["architecture"], row["link_gbps"]):
@@ -81,12 +77,11 @@ def test_bench_ablation_link_speed(benchmark, bench_session):
         assert by_key[(architecture, 10)] > by_key[(architecture, 1)]
 
 
-def test_bench_ablation_work_queue_count(benchmark, bench_settings,
-                                         bench_session):
-    rows = run_once(benchmark, ablation_work_queue_count,
-                    consumers=8, queue_counts=(1, 2, 4),
-                    messages_per_producer=bench_settings["messages"],
-                    seed=bench_settings["seed"], session=bench_session)
+def test_bench_ablation_work_queue_count(bench_settings, bench_session):
+    rows = ablation_work_queue_count(
+        consumers=8, queue_counts=(1, 2, 4),
+        messages_per_producer=bench_settings["messages"],
+        seed=bench_settings["seed"], session=bench_session)
     print()
     print(format_table(rows, title="Ablation: number of shared work queues"))
     by_count = {row["work_queues"]: row["throughput_msgs_per_s"] for row in rows}
@@ -95,12 +90,12 @@ def test_bench_ablation_work_queue_count(benchmark, bench_settings,
     assert by_count[2] > 0.8 * by_count[1]
 
 
-def test_bench_ablation_network_layer_forwarding(benchmark, bench_settings,
+def test_bench_ablation_network_layer_forwarding(bench_settings,
                                                  bench_session):
-    sweep = run_once(benchmark, ablation_network_layer_forwarding,
-                     consumer_counts=(1, 4, 16),
-                     messages_per_producer=bench_settings["messages"],
-                     seed=bench_settings["seed"], session=bench_session)
+    sweep = ablation_network_layer_forwarding(
+        consumer_counts=(1, 4, 16),
+        messages_per_producer=bench_settings["messages"],
+        seed=bench_settings["seed"], session=bench_session)
     print()
     print(format_table(sweep.rows(),
                        title="Ablation: network-layer forwarding (EJFAT-style)"))

@@ -16,20 +16,18 @@ from __future__ import annotations
 
 from repro.core import figure4
 from repro.metrics import format_table
-from .conftest import curve, run_once
+from .conftest import curve
 
 
 def _last(points):
     return list(points.values())[-1]
 
 
-def test_bench_figure4(benchmark, bench_settings, bench_session):
-    data = run_once(benchmark, figure4,
-                    messages_per_producer=bench_settings["messages"],
-                    consumer_counts=bench_settings["consumer_counts"],
-                    runs=bench_settings["runs"],
-                    seed=bench_settings["seed"],
-                    session=bench_session)
+def test_bench_figure4(bench_settings, bench_session):
+    data = figure4(messages_per_producer=bench_settings["messages"],
+                   consumer_counts=bench_settings["consumer_counts"],
+                   seed=bench_settings["seed"],
+                   session=bench_session)
 
     print()
     print(format_table(data.rows,

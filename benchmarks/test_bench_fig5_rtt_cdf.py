@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.core import figure5
 from repro.metrics import format_table
-from .conftest import run_once
 
 #: Subset of consumer counts shown in the figure that we regenerate here.
 CDF_CONSUMER_COUNTS = (1, 8, 64)
@@ -29,13 +28,11 @@ def _quantile(cdf, prob):
     return x[min(idx, len(x) - 1)]
 
 
-def test_bench_figure5(benchmark, bench_settings, bench_session):
-    data = run_once(benchmark, figure5,
-                    messages_per_producer=bench_settings["messages"],
-                    consumer_counts=CDF_CONSUMER_COUNTS,
-                    runs=bench_settings["runs"],
-                    seed=bench_settings["seed"],
-                    session=bench_session)
+def test_bench_figure5(bench_settings, bench_session):
+    data = figure5(messages_per_producer=bench_settings["messages"],
+                   consumer_counts=CDF_CONSUMER_COUNTS,
+                   seed=bench_settings["seed"],
+                   session=bench_session)
 
     print()
     print(format_table(data.rows,

@@ -13,16 +13,14 @@ from __future__ import annotations
 
 from repro.core import figure6
 from repro.metrics import format_table
-from .conftest import curve, run_once
+from .conftest import curve
 
 
-def test_bench_figure6(benchmark, bench_settings, bench_session):
-    data = run_once(benchmark, figure6,
-                    messages_per_producer=bench_settings["messages"],
-                    consumer_counts=bench_settings["consumer_counts"],
-                    runs=bench_settings["runs"],
-                    seed=bench_settings["seed"],
-                    session=bench_session)
+def test_bench_figure6(bench_settings, bench_session):
+    data = figure6(messages_per_producer=bench_settings["messages"],
+                   consumer_counts=bench_settings["consumer_counts"],
+                   seed=bench_settings["seed"],
+                   session=bench_session)
 
     print()
     print(format_table(data.rows,

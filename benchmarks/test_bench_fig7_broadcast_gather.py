@@ -15,16 +15,15 @@ from __future__ import annotations
 
 from repro.core import figure7
 from repro.metrics import format_table
-from .conftest import curve, run_once
+from .conftest import curve
 
 
-def test_bench_figure7(benchmark, bench_settings, bench_session):
-    data = run_once(benchmark, figure7,
-                    messages_per_producer=max(4, bench_settings["messages"] // 2),
-                    consumer_counts=bench_settings["consumer_counts"],
-                    runs=bench_settings["runs"],
-                    seed=bench_settings["seed"],
-                    session=bench_session)
+def test_bench_figure7(bench_settings, bench_session):
+    data = figure7(
+        messages_per_producer=max(4, bench_settings["messages"] // 2),
+        consumer_counts=bench_settings["consumer_counts"],
+        seed=bench_settings["seed"],
+        session=bench_session)
 
     print()
     print(format_table(data.rows,

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.core import figure8
 from repro.metrics import format_table
-from .conftest import run_once
 
 CDF_CONSUMER_COUNTS = (2, 16, 64)
 
@@ -27,13 +26,12 @@ def _quantile(cdf, prob):
     return x[min(idx, len(x) - 1)]
 
 
-def test_bench_figure8(benchmark, bench_settings, bench_session):
-    data = run_once(benchmark, figure8,
-                    messages_per_producer=max(4, bench_settings["messages"] // 2),
-                    consumer_counts=CDF_CONSUMER_COUNTS,
-                    runs=bench_settings["runs"],
-                    seed=bench_settings["seed"],
-                    session=bench_session)
+def test_bench_figure8(bench_settings, bench_session):
+    data = figure8(
+        messages_per_producer=max(4, bench_settings["messages"] // 2),
+        consumer_counts=CDF_CONSUMER_COUNTS,
+        seed=bench_settings["seed"],
+        session=bench_session)
 
     print()
     print(format_table(data.rows,

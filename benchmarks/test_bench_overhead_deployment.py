@@ -16,22 +16,18 @@ from repro.core import (
 )
 from repro.architectures import TestbedConfig
 from repro.metrics import format_table
-from .conftest import run_once
 
 
-def test_bench_overhead_summary(benchmark, bench_settings, bench_session):
-    def build():
-        fig4 = figure4(messages_per_producer=bench_settings["messages"],
-                       consumer_counts=(4, 16, 64),
-                       architectures=("DTS", "PRS(HAProxy)", "MSS"),
-                       seed=bench_settings["seed"], session=bench_session)
-        fig6 = figure6(messages_per_producer=bench_settings["messages"],
-                       consumer_counts=(4, 16, 64),
-                       architectures=("DTS", "PRS(HAProxy)", "MSS"),
-                       seed=bench_settings["seed"], session=bench_session)
-        return overhead_summary(fig4, fig6)
-
-    rows = run_once(benchmark, build)
+def test_bench_overhead_summary(bench_settings, bench_session):
+    fig4 = figure4(messages_per_producer=bench_settings["messages"],
+                   consumer_counts=(4, 16, 64),
+                   architectures=("DTS", "PRS(HAProxy)", "MSS"),
+                   seed=bench_settings["seed"], session=bench_session)
+    fig6 = figure6(messages_per_producer=bench_settings["messages"],
+                   consumer_counts=(4, 16, 64),
+                   architectures=("DTS", "PRS(HAProxy)", "MSS"),
+                   seed=bench_settings["seed"], session=bench_session)
+    rows = overhead_summary(fig4, fig6)
     print()
     print(format_table(rows, title="Overhead vs DTS (throughput and median RTT)"))
 
@@ -52,10 +48,10 @@ def test_bench_overhead_summary(benchmark, bench_settings, bench_session):
     assert max(mss_rtt) > max(prs_rtt)
 
 
-def test_bench_deployment_comparison(benchmark):
-    rows = run_once(benchmark, architecture_comparison_rows,
-                    ["DTS", "PRS(HAProxy)", "MSS"],
-                    testbed_config=TestbedConfig(producer_nodes=2, consumer_nodes=2))
+def test_bench_deployment_comparison():
+    rows = architecture_comparison_rows(
+        ["DTS", "PRS(HAProxy)", "MSS"],
+        testbed_config=TestbedConfig(producer_nodes=2, consumer_nodes=2))
     print()
     print(format_table(rows, title="Architecture deployment comparison"))
 

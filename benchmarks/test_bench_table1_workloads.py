@@ -8,11 +8,10 @@ parallelism modes).
 from __future__ import annotations
 
 from repro.core import table1_rows, table1_text
-from .conftest import run_once
 
 
-def test_bench_table1(benchmark):
-    rows = run_once(benchmark, table1_rows)
+def test_bench_table1():
+    rows = table1_rows()
     table = {row["characteristic"]: row for row in rows}
 
     print()

@@ -1,7 +1,7 @@
 """Committed lint baselines: carry reviewed historical findings.
 
-A baseline file records the findings a reviewer has accepted (e.g.
-``bench.py``'s snapshot timestamp — metadata, not result data) so
+A baseline file records the findings a reviewer has accepted (e.g. a
+timestamp written into a report header — metadata, not result data) so
 ``repro-streamsim lint`` can exit clean on them while still failing on
 anything *new*.  Entries match findings by ``(rule, file, context_hash)``
 — the hash covers the rule code plus the stripped source line, never the
@@ -13,8 +13,8 @@ fails.
 The file is JSON (sorted, indented) so diffs review cleanly::
 
     {"version": 1, "entries": [
-        {"rule": "D003", "file": "src/repro/harness/bench.py",
-         "line": 408, "context": "created_at=datetime.now(...)",
+        {"rule": "D003", "file": "src/repro/harness/report.py",
+         "line": 42, "context": "created_at=datetime.now(...)",
          "context_hash": "..."}]}
 
 ``line`` and ``context`` are recorded for humans; only ``rule``, ``file``

@@ -165,7 +165,7 @@ def check_no_wall_clock(source: SourceFile) -> Iterator[tuple[int, str]]:
         if len(parts) >= 2 and tuple(parts[-2:]) in WALL_CLOCK_CALLS:
             yield (node.lineno,
                    f"wall-clock read `{name}()` — results must not depend "
-                   f"on when they ran (bench/cache-admin metadata is "
+                   f"on when they ran (cache-admin metadata is "
                    f"allowlisted; elsewhere pragma or baseline a reviewed "
                    f"exception)")
 

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import statistics
 import sys
 from typing import Optional, Sequence
 
@@ -322,48 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
              "window)")
     chaos.add_argument("--csv", default=None)
 
-    bench = sub.add_parser(
-        "bench",
-        help="run the micro/end-to-end benchmark suite and record a "
-             "BENCH_<n>.json snapshot")
-    bench.add_argument(
-        "--dir", default=".", metavar="PATH", dest="bench_dir",
-        help="directory holding the BENCH_<n>.json trajectory (default: "
-             "current directory)")
-    bench.add_argument(
-        "--rounds", type=_positive_int, default=5, metavar="N",
-        help="timed rounds per bench (median/stdev reduce over them, "
-             "after one untimed warmup round)")
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="one timed round per bench (smoke mode)")
-    bench.add_argument(
-        "--bench", action="append", default=None, metavar="NAME",
-        dest="bench_names",
-        help="run only this bench (repeatable; see --list)")
-    bench.add_argument(
-        "--list", action="store_true", dest="list_benches",
-        help="list the registered bench names and exit")
-    bench.add_argument(
-        "--compare", action="store_true",
-        help="diff the fresh run against the latest existing snapshot; "
-             "exit 1 when any bench regressed beyond --threshold "
-             "(no-op with a note when no snapshot exists yet)")
-    bench.add_argument(
-        "--threshold", type=_positive_float, default=0.2, metavar="FRACTION",
-        help="allowed median regression per bench for --compare "
-             "(0.2 = 20%% slower fails; default 0.2)")
-    bench.add_argument(
-        "--no-save", action="store_true", dest="no_save",
-        help="do not write a new BENCH_<n>.json snapshot")
-    bench.add_argument(
-        "--profile", action="store_true",
-        help="cProfile one full experiment point and print the hot spots "
-             "instead of running the timed suite")
-    bench.add_argument(
-        "--profile-out", default=None, metavar="PATH", dest="profile_out",
-        help="with --profile: also dump raw pstats data to PATH")
-
     cache = sub.add_parser(
         "cache",
         help="administer a sharded result cache (stats / gc / compact / "
@@ -583,119 +540,6 @@ def _cmd_chaos(args: argparse.Namespace, session: Session) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the benchmark suite: time, snapshot, compare, or profile."""
-    from .harness import bench as benchmod
-
-    if args.list_benches:
-        for name in benchmod.bench_names():
-            print(name)
-        return 0
-    if args.profile:
-        print(benchmod.profile_point(args.profile_out))
-        if args.profile_out:
-            print(f"[wrote raw profile stats to {args.profile_out}]")
-        return 0
-
-    rounds = 1 if args.quick else args.rounds
-    try:
-        report = benchmod.run_benches(
-            args.bench_names, rounds=rounds,
-            progress=lambda name: print(f"[bench] {name} ...",
-                                        file=sys.stderr))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(format_table(report.rows(), precision=6,
-                       title=f"benchmark suite ({rounds} round(s), "
-                             f"repro {report.repro_version}, "
-                             f"git {report.git_sha[:12]})"))
-
-    exit_code = 0
-    if args.compare:
-        try:
-            previous = benchmod.latest_snapshot(args.bench_dir)
-        except ValueError as exc:
-            # Truncated/corrupt snapshot: a clean diagnostic, not a
-            # traceback (the trajectory is versioned — restore or delete).
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if previous is None:
-            print(f"[bench] no BENCH_<n>.json in {args.bench_dir!r} yet; "
-                  f"nothing to compare against")
-        else:
-            import platform as platform_mod
-
-            index, snapshot = previous
-            rows, regressions = benchmod.compare_reports(
-                report.to_json_dict()["benches"], snapshot.get("benches", {}),
-                threshold=args.threshold,
-                current_calibration=report.calibration_s,
-                previous_calibration=snapshot.get("calibration_s"))
-            print()
-            print(format_table(
-                rows, precision=6,
-                title=f"vs BENCH_{index}.json "
-                      f"(threshold {args.threshold:.0%}, "
-                      f"calibration-scaled, recorded by repro "
-                      f"{snapshot.get('repro_version', '?')})"))
-            ratios = [row["ratio"] for row in rows
-                      if row.get("ratio") is not None]
-            if len(ratios) >= 3:
-                drift = statistics.median(ratios)
-                print(f"[bench] suite drift x{drift:.2f} vs snapshot "
-                      f"(machine state; per-bench gate is drift-"
-                      f"normalised)")
-                if drift > 1.0 + args.threshold:
-                    print(f"[bench] warning: the whole suite is "
-                          f">{args.threshold:.0%} slower than the snapshot "
-                          f"— machine drift or a global regression; "
-                          f"re-check on a quiet machine", file=sys.stderr)
-            if regressions:
-                # The spin-loop calibration normalizes CPU-speed drift but
-                # not allocator/interpreter differences, so a snapshot from
-                # another interpreter or OS only warns instead of failing.
-                same_env = (
-                    snapshot.get("python") in (None,
-                                               platform_mod.python_version())
-                    and snapshot.get("platform") in (None,
-                                                     platform_mod.platform()))
-                # Identify the baseline alongside every regression line so
-                # a failing CI log says exactly which build/machine recorded
-                # the numbers being compared against.
-                snapshot_env = (
-                    f"git {str(snapshot.get('git_sha') or 'unknown')[:12]}, "
-                    f"{snapshot.get('platform') or 'unknown platform'}")
-                if same_env:
-                    for name in regressions:
-                        print(f"[bench] regression: {name} "
-                              f"(vs BENCH_{index}.json @ {snapshot_env})",
-                              file=sys.stderr)
-                    print(f"[bench] {len(regressions)} regression(s): "
-                          f"{', '.join(regressions)}", file=sys.stderr)
-                    exit_code = 1
-                else:
-                    print(f"[bench] {len(regressions)} apparent "
-                          f"regression(s) ({', '.join(regressions)}) vs a "
-                          f"snapshot from a different python/platform "
-                          f"({snapshot.get('python')}, "
-                          f"{snapshot.get('platform')}, @ {snapshot_env}); "
-                          f"not failing — re-record with `make bench` on "
-                          f"this machine", file=sys.stderr)
-
-    if not args.no_save:
-        if exit_code:
-            # Never let a regressed run become the next baseline — saving
-            # it would make the following compare pass against the slower
-            # numbers and self-mask the regression.
-            print("[bench] regression detected; snapshot NOT saved",
-                  file=sys.stderr)
-        else:
-            path = report.save(args.bench_dir)
-            print(f"\n[wrote snapshot {path}]")
-    return exit_code
-
-
 def _cmd_cache(args: argparse.Namespace) -> int:
     """Cache lifecycle administration (stats/gc/compact/profiles)."""
     from .harness import cache_admin
@@ -784,10 +628,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "table1":
         print(table1_text())
         return 0
-    if args.command == "bench":
-        # Benches time fixed workloads; they deliberately bypass the
-        # execution-session machinery (no --jobs/--cache flags).
-        return _cmd_bench(args)
     if args.command == "cache":
         # Admin commands operate on the cache directory itself; building
         # an execution session (and its ResultCache, which evicts and

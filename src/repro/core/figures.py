@@ -391,8 +391,8 @@ def figure_chaos_degradation(*, fault_axis: str = "broker_kill_rate",
 # Overhead summary (§5.3/§5.4 prose numbers)
 # ---------------------------------------------------------------------------
 
-def overhead_summary(figure4_data: FigureData, figure6_data: FigureData,
-                     *, baseline: str = BASELINE_ARCHITECTURE) -> list[dict]:
+def overhead_summary(figure4_data: FigureData,
+                     figure6_data: FigureData) -> list[dict]:
     """PRS/MSS overhead factors vs DTS for throughput and median RTT."""
     rows: list[dict] = []
     for data, metric, pattern in (
@@ -400,8 +400,7 @@ def overhead_summary(figure4_data: FigureData, figure6_data: FigureData,
             (figure6_data, "median_rtt_s", "work_sharing_feedback")):
         for workload, sweep in data.sweeps.items():
             for (consumers,), by_architecture in sweep.groups():
-                for entry in overheads(by_architecture, metric,
-                                       baseline=baseline):
+                for entry in overheads(by_architecture, metric):
                     rows.append({**entry.as_dict(), "workload": workload,
                                  "consumers": consumers, "pattern": pattern})
     return rows

@@ -45,23 +45,24 @@ _OVERHEAD_COLUMNS = {"throughput_msgs_per_s": "throughput_overhead_vs_dts",
 
 
 def overheads(results_by_architecture: Mapping[str, ExperimentResult],
-              metric: str, *, baseline: str = BASELINE_ARCHITECTURE
-              ) -> list[OverheadResult]:
-    """Overhead factor of every architecture against ``baseline`` at one
-    coordinate (a group of :meth:`SweepResult.groups`).
+              metric: str) -> list[OverheadResult]:
+    """Overhead factor of every architecture against DTS
+    (:data:`BASELINE_ARCHITECTURE`) at one coordinate (a group of
+    :meth:`SweepResult.groups`).
 
     Infeasible points, and points without RTT samples for an RTT metric,
-    are left out; empty when the baseline has no value.  Throughput counts
-    higher as better, every other metric lower.
+    are left out; empty when DTS has no value.  Throughput counts higher
+    as better, every other metric lower.
     """
     needs_samples = metric.endswith("rtt_s")
     values = {label: getattr(result, metric)
               for label, result in results_by_architecture.items()
               if result.feasible
               and (not needs_samples or result.rtt_samples.size)}
-    if baseline not in values:
+    if BASELINE_ARCHITECTURE not in values:
         return []
-    return overhead_table(values, baseline=baseline, metric=metric,
+    return overhead_table(values, baseline=BASELINE_ARCHITECTURE,
+                          metric=metric,
                           higher_is_better=metric.startswith("throughput"))
 
 

@@ -13,17 +13,6 @@ from CLI args via :meth:`Session.from_args`) and pass ``session=`` to any
 entry point.
 """
 
-from .bench import (
-    BenchReport,
-    BenchResult,
-    bench_names,
-    compare_reports,
-    latest_snapshot,
-    list_snapshots,
-    next_snapshot_path,
-    profile_point,
-    run_benches,
-)
 from .cache import ResultCache, code_fingerprint, shard_lock
 from .cache_admin import (
     CacheAdminError,
@@ -119,13 +108,4 @@ __all__ = [
     "rollback_cache",
     "list_profiles",
     "delete_profile",
-    "BenchReport",
-    "BenchResult",
-    "bench_names",
-    "run_benches",
-    "compare_reports",
-    "list_snapshots",
-    "latest_snapshot",
-    "next_snapshot_path",
-    "profile_point",
 ]

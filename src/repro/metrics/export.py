@@ -10,7 +10,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 __all__ = ["format_table", "to_csv", "format_value", "write_csv"]
 
 
-def format_value(value, *, precision: int = 3) -> str:
+def format_value(value) -> str:
     """Human-friendly rendering of one cell."""
     if value is None:
         return "-"
@@ -25,17 +25,17 @@ def format_value(value, *, precision: int = 3) -> str:
             return f"{value:,.0f}"
         if abs(value) < 0.001:
             return f"{value:.2e}"
-        return f"{value:.{precision}g}"
+        return f"{value:.3g}"
     return str(value)
 
 
 def format_table(rows: Sequence[Mapping], *, columns: Optional[Sequence[str]] = None,
-                 title: str = "", precision: int = 3) -> str:
+                 title: str = "") -> str:
     """Render a list of dict rows as a fixed-width ASCII table."""
     if not rows:
         return f"{title}\n(no data)" if title else "(no data)"
     cols = list(columns) if columns else list(rows[0].keys())
-    rendered = [[format_value(row.get(col), precision=precision) for col in cols]
+    rendered = [[format_value(row.get(col)) for col in cols]
                 for row in rows]
     widths = [max(len(col), *(len(r[i]) for r in rendered)) for i, col in enumerate(cols)]
     lines = []

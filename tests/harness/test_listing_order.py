@@ -14,7 +14,6 @@ import pytest
 
 from repro.architectures import TestbedConfig
 from repro.harness import ExperimentConfig, ResultCache, ScenarioPoint
-from repro.harness import bench as benchmod
 from repro.harness.cache_admin import (
     _shard_paths,
     collect_stats,
@@ -48,21 +47,6 @@ def tiny_point(seed: int) -> ScenarioPoint:
         num_producers=1, num_consumers=1, messages_per_producer=3,
         max_sim_time_s=120.0, seed=seed,
         testbed=TestbedConfig(producer_nodes=2, consumer_nodes=2)))
-
-
-# ---------------------------------------------------------------------------
-# bench snapshots
-# ---------------------------------------------------------------------------
-
-def test_bench_snapshot_listing_ignores_fs_order(tmp_path,
-                                                 reversed_listings):
-    for index in (0, 2, 10):
-        (tmp_path / f"BENCH_{index}.json").write_text("{}")
-    (tmp_path / "notes.txt").write_text("ignored")
-    snapshots = benchmod.list_snapshots(tmp_path)
-    assert [index for index, _ in snapshots] == [0, 2, 10]
-    latest = max(index for index, _ in snapshots)
-    assert latest == 10
 
 
 # ---------------------------------------------------------------------------
