@@ -24,13 +24,13 @@ lint:
 	$(PYTHON) -m repro.cli lint --self-test
 	$(PYTHON) -m repro.cli lint
 
-# The paper's qualitative claims (about 20 s): the figure, ablation,
+# The paper's qualitative claims (about 30 s): the figure, ablation,
 # overhead, deployment and Table 1 benches in benchmarks/ regenerate their
-# outputs at 25 messages per producer, seed 1, through one shared cached
-# Session and assert the claims of §5.2-§6.  They time nothing, so the
-# pytest-benchmark plugin stays off: a bench that asks for its
-# `benchmark` fixture fails to set up.  Kept out of `make test`, which it
-# would more than double.
+# outputs at 25 messages per producer, seed 1, through one shared Session,
+# which simulates each point once, and assert the claims of §5.2-§6.
+# They time nothing, so the pytest-benchmark plugin stays off: a bench
+# that asks for its `benchmark` fixture fails to set up.  Kept out of
+# `make test`, which it would more than double.
 claims:
 	$(PYTHON) -m pytest benchmarks -q -p no:benchmark
 

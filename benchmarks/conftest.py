@@ -8,10 +8,11 @@ is fixed, not a knob: the Figure 4 and 5 claims fail below 20 messages
 per producer, so a smaller budget would fail them for a reason unrelated
 to the code.
 
-Every figure and ablation bench runs under the one cached
-``bench_session``, so a point two benches share (Figures 5 and 6, the
-overhead summary's Figures 4 and 6) is simulated once per test session.
-``make claims`` runs them this way as part of ``make check``::
+Every figure and ablation bench runs under the one ``bench_session``,
+which resolves each point once, so a point two benches share (Figures 5
+and 6, Figures 7 and 8, the overhead summary's Figures 4 and 6) is
+simulated once per test session.  ``make claims`` runs them this way as
+part of ``make check``::
 
     pytest benchmarks -q -p no:benchmark
 
@@ -40,11 +41,11 @@ def curve(sweep, architecture, metric="throughput_msgs_per_s"):
 
 
 @pytest.fixture(scope="session")
-def bench_session(tmp_path_factory):
-    """One Session with a result cache, shared by every figure and
-    ablation bench of the test session."""
-    cache = tmp_path_factory.mktemp("bench") / "cache"
-    with Session(cache=cache) as session:
+def bench_session():
+    """One Session, shared by every figure and ablation bench of the test
+    session.  It keeps every result in memory, and the benches only read
+    them."""
+    with Session() as session:
         yield session
 
 

@@ -1,4 +1,5 @@
-"""On-disk result cache for the scenario runner (sharded by key prefix).
+"""Result cache for the scenario runner: on disk (sharded by key prefix)
+or in memory.
 
 Format: a *directory* of shard files, ``<path>/<xx>.json``, where ``xx`` is
 the first two hex characters of :meth:`ScenarioPoint.cache_key` (a content
@@ -48,6 +49,14 @@ Results are also persisted *incrementally* while a sweep runs (see
 ``run_scenarios``): :meth:`ResultCache.maybe_save` flushes to disk every
 ``autosave_interval`` stores, so killing a long parallel sweep midway
 leaves its completed points reusable.
+
+Memory-only mode: ``ResultCache(path=None)`` writes nothing and keeps the
+result objects it stores, keyed the same way, so :meth:`ResultCache.load`
+returns the stored object itself.  A :class:`~repro.harness.session.Session`
+opened without a cache path resolves its points through one, so a point
+two figures share (Figure 7(b) and Figure 8) is simulated once per
+session.  A disk cache keeps no such object layer: every load rebuilds
+the result from its JSON entry.
 """
 
 from __future__ import annotations
@@ -223,9 +232,11 @@ def write_shard(shard_path: str, entries: dict) -> None:
 
 class ResultCache:
     """A dict of experiment results keyed by scenario content hash,
-    persisted as one JSON shard per two-hex-character key prefix."""
+    persisted as one JSON shard per two-hex-character key prefix, or held
+    in memory as result objects when ``path`` is ``None``."""
 
-    def __init__(self, path: str, *, allow_stale: bool = False,
+    def __init__(self, path: Optional[str] = None, *,
+                 allow_stale: bool = False,
                  autosave_interval: int = 1,
                  autosave_min_s: float = 1.0) -> None:
         self.path = path
@@ -245,6 +256,10 @@ class ResultCache:
         self._last_autosave = 0.0
         #: Entries evicted because their code fingerprint went stale.
         self.stale_evicted = 0
+        #: Memory-only mode: the stored result objects, by key.
+        self._results: dict[str, ExperimentResult] = {}
+        if path is None:
+            return
         if os.path.isfile(path):
             raise ValueError(not_a_cache_directory(path))
         if os.path.isdir(path):
@@ -285,7 +300,7 @@ class ResultCache:
 
     # -- mapping protocol -----------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._results if self.path is None else self._entries)
 
     def _evict_stale(self, key: str) -> None:
         """Drop a stale-fingerprint entry: it never comes back (not even
@@ -296,6 +311,8 @@ class ResultCache:
         self._dirty_shards.add(_shard_name(key))
 
     def __contains__(self, point: ScenarioPoint) -> bool:
+        if self.path is None:
+            return point.cache_key() in self._results
         entry = self._entries.get(point.cache_key())
         if entry is None:
             return False
@@ -313,8 +330,12 @@ class ResultCache:
         An entry written by a different version of the ``repro`` source is
         stale: it is evicted and reported as a miss (so the point gets
         recomputed), unless the cache was opened with ``allow_stale=True``.
+        A memory-only cache returns the stored object itself, which
+        callers treat as read-only.
         """
         key = point.cache_key()
+        if self.path is None:
+            return self._results.get(key)
         entry = self._entries.get(key)
         if entry is None:
             return None
@@ -325,6 +346,9 @@ class ResultCache:
 
     def store(self, point: ScenarioPoint, result: ExperimentResult) -> None:
         key = point.cache_key()
+        if self.path is None:
+            self._results[key] = result
+            return
         self._entries[key] = {
             "point": point.describe(),
             "fingerprint": code_fingerprint(),

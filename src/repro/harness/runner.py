@@ -27,9 +27,10 @@ module is the single place where that grid is executed:
   CLI.  Execution context (backend, cache, policy, progress) is carried
   by a :class:`~repro.harness.session.Session`, the only way to pass it.
 
-Results can be cached to disk (:class:`~repro.harness.cache.ResultCache`) and
-reused by figure regeneration: run under a ``Session(cache=...)`` and
-already-computed points are loaded instead of re-simulated.
+Results are cached (:class:`~repro.harness.cache.ResultCache`) and reused:
+a session resolves each experiment point at most once, and under a
+``Session(cache=...)`` points computed by earlier runs are loaded from
+disk instead of re-simulated.
 """
 
 from __future__ import annotations
@@ -708,14 +709,16 @@ def run_scenarios(scenarios: Iterable[ScenarioPoint], *,
 
     ``session`` (a :class:`~repro.harness.session.Session`) carries the
     whole execution context — backend, result cache, execution policy and a
-    default progress callback; ``None`` means ``Session()`` (serial,
-    uncached, fail-fast).  A closed session is refused with
-    :class:`RuntimeError`.
+    default progress callback; ``None`` means a fresh ``Session()`` (serial,
+    fail-fast, results kept in memory for this call only).  A closed
+    session is refused with :class:`RuntimeError`.
 
-    The session's cache short-circuits points whose results are already on
-    disk and records fresh ones; only "experiment" points are cacheable.
-    Fresh results are persisted *as they complete* (not just at the end),
-    so a sweep killed midway can be resumed from the points on disk.
+    Every "experiment" point is loaded from and stored to the session's
+    ``point_cache`` (its disk cache, else its memory-only cache), so a
+    point the session has already resolved is not simulated again and
+    fires no progress.  Failed points are never stored.  Fresh results
+    are persisted *as they complete* (not just at the end), so a sweep
+    killed midway can be resumed from the points on disk.
 
     The session's policy (an :class:`ExecutionPolicy`) adds per-point
     timeout and retries, and chooses what exhausted points become: with
@@ -733,7 +736,7 @@ def run_scenarios(scenarios: Iterable[ScenarioPoint], *,
                            "new Session (or run before leaving the with "
                            "block)")
     backend = session.backend
-    cache = session.cache
+    cache = session.point_cache
     policy = session.policy
     if progress is None:
         progress = session.progress
@@ -743,28 +746,26 @@ def run_scenarios(scenarios: Iterable[ScenarioPoint], *,
     outcomes: list[Optional[PointOutcome]] = [None] * len(points)
     pending: list[tuple[int, ScenarioPoint]] = []
     for index, point in enumerate(points):
-        cached = (cache.load(point) if cache is not None
-                  and point.kind == "experiment" else None)
+        cached = cache.load(point) if point.kind == "experiment" else None
         if cached is not None:
             outcomes[index] = PointOutcome(point=point, result=cached,
                                            cached=True)
         else:
             pending.append((index, point))
 
+    failure: Optional[ScenarioError] = None
     if pending:
         pending_points = [point for _, point in pending]
 
         def persist(local_index: int, ok: bool, value: Any,
                     attempts: int) -> None:
             point = pending_points[local_index]
-            if ok and cache is not None and point.kind == "experiment":
+            if ok and point.kind == "experiment":
                 cache.store(point, value)
                 cache.maybe_save()
 
         executed = backend.run(pending_points, progress, policy=policy,
-                               on_result=persist if cache is not None
-                               else None)
-        failure: Optional[ScenarioError] = None
+                               on_result=persist)
         # Every completed result is already persisted (incrementally, via
         # the on_result callback), so one crashed point does not discard
         # the rest of a long sweep's work even under on_error="raise".
@@ -779,10 +780,7 @@ def run_scenarios(scenarios: Iterable[ScenarioPoint], *,
                 continue
             outcomes[index] = PointOutcome(point=point, result=value,
                                            attempts=attempts)
-        if cache is not None:
-            cache.save()
-        if failure is not None:
-            raise failure
-    elif cache is not None:
-        cache.save()
+    cache.save()
+    if failure is not None:
+        raise failure
     return [outcome for outcome in outcomes if outcome is not None]

@@ -84,7 +84,8 @@ class Session:
         explicit backend, ``jobs > 1`` selects the process pool.
     cache:
         A sharded :class:`~repro.harness.cache.ResultCache`, or a path that
-        one is opened at (honoring ``allow_stale``), or ``None``.
+        one is opened at (honoring ``allow_stale``), or ``None`` to keep
+        results in memory for the session's lifetime only.
     policy:
         The :class:`~repro.harness.runner.ExecutionPolicy` enforced inside
         every backend worker, or ``None`` for fail-fast defaults.
@@ -93,9 +94,16 @@ class Session:
         :func:`~repro.harness.runner.run_scenarios` calls that do not pass
         their own.
 
+    A session resolves each experiment point at most once: a point it
+    has already run or loaded is served from its disk cache or, without
+    one, from a memory-only :class:`~repro.harness.cache.ResultCache`
+    that returns the same result object on every read.  Callers treat
+    results as read-only.  A new session simulates every point again.
+
     The session is a context manager: leaving the ``with`` block flushes
     the cache to disk (results are also persisted incrementally while runs
-    execute, so the final flush is belt and braces).
+    execute, so the final flush is belt and braces) and drops the
+    memory-only results.
     """
 
     def __init__(self, backend: Union[ExecutionBackend, str, None] = None, *,
@@ -125,7 +133,16 @@ class Session:
                           RuntimeWarning, stacklevel=2)
         if isinstance(cache, (str, os.PathLike)):
             cache = ResultCache(os.fspath(cache), allow_stale=allow_stale)
+        elif cache is not None and cache.path is None:
+            raise ValueError("cache= takes a path or a disk ResultCache, not "
+                             "a memory-only one: a session without a disk "
+                             "cache keeps its results in memory already")
+        #: The disk cache, or ``None``.
         self.cache = cache
+        #: Where :func:`~repro.harness.runner.run_scenarios` loads and
+        #: stores every experiment point: the disk cache, else a
+        #: memory-only one.
+        self.point_cache = ResultCache() if cache is None else cache
         self.policy = policy
         self.progress = progress
         self.closed = False
@@ -193,8 +210,9 @@ class Session:
                  ) -> "Session":
         """Build a session purely from ``REPRO_*`` environment variables.
 
-        With nothing set this is ``Session()`` — serial, uncached,
-        fail-fast — so scripts can call it unconditionally.
+        With nothing set this is ``Session()`` — serial, fail-fast, and
+        caching results in memory only — so scripts can call it
+        unconditionally.
         """
         environ = os.environ if environ is None else environ
         return cls._from_settings(cls._read_env(environ))
@@ -240,13 +258,12 @@ class Session:
     # -- lifecycle -----------------------------------------------------------
     def flush(self) -> None:
         """Write any dirty cache shards to disk."""
-        if self.cache is not None:
-            self.cache.save()
+        self.point_cache.save()
 
     def cache_stats(self):
         """Lifecycle statistics for this session's result cache
         (:class:`~repro.harness.cache_admin.CacheStats`), or ``None`` when
-        the session runs uncached.  Dirty shards are flushed first so the
+        the session has no disk cache.  Dirty shards are flushed first so the
         census covers everything this session has stored."""
         if self.cache is None:
             return None
@@ -256,8 +273,11 @@ class Session:
         return collect_stats(self.cache.path)
 
     def close(self) -> None:
-        """Flush the cache and mark the session closed (idempotent)."""
+        """Flush the disk cache, drop the memory-only results and mark the
+        session closed (idempotent)."""
         self.flush()
+        if self.cache is None:
+            self.point_cache = ResultCache()
         self.closed = True
 
     def __enter__(self) -> "Session":

@@ -14,7 +14,8 @@ splits a grid into sub-grids (a figure's per-workload panels),
 long-format records for tables and CSV.
 
 Sweeps run under one :class:`~repro.harness.session.Session` passed as
-``session=`` (``None`` means a serial, uncached, fail-fast session).
+``session=`` (``None`` means a fresh serial, fail-fast session).  A point
+that two sweeps of one session share is simulated once.
 """
 
 from __future__ import annotations

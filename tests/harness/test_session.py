@@ -13,6 +13,7 @@ import warnings
 import pytest
 
 from repro.architectures import TestbedConfig
+from repro.core import figure7, figure8
 from repro.harness import (
     ExecutionPolicy,
     ExperimentConfig,
@@ -29,6 +30,7 @@ from repro.harness import (
     run_sweep,
     unregister_backend,
 )
+from repro.harness import runner
 
 
 def tiny_config(**overrides):
@@ -80,6 +82,8 @@ def test_session_validates_jobs_and_policy():
         Session(jobs=0)
     with pytest.raises(TypeError, match="ExecutionPolicy"):
         Session(policy={"retries": 2})
+    with pytest.raises(ValueError, match="memory-only"):
+        Session(cache=ResultCache())
 
 
 def test_serial_backend_with_multiple_jobs_warns():
@@ -189,10 +193,98 @@ def test_session_progress_is_the_default_callback():
     session = Session(progress=lambda point: seen.append(point.label))
     session.run(one_point())
     assert seen == ["DTS"]
-    # An explicit progress= per run overrides the session default.
+    # An explicit progress= per run overrides the session default.  The
+    # run takes another point: the session would serve the first from
+    # memory without calling any progress.
     explicit = []
-    session.run(one_point(), progress=lambda point: explicit.append(1))
+    session.run(ScenarioSet().add_config(tiny_config(seed=2)),
+                progress=lambda point: explicit.append(1))
     assert seen == ["DTS"] and explicit == [1]
+
+
+# ---------------------------------------------------------------------------
+# A session resolves each point once
+# ---------------------------------------------------------------------------
+
+#: Figures 7 and 8 on a small grid: Figure 8 is the broadcast_gather half
+#: of Figure 7's grid, 9 of its 18 points.
+BROADCAST_GRID = {"consumer_counts": (1, 2, 4), "messages_per_producer": 4}
+
+
+def payload(result) -> str:
+    return json.dumps(result.to_json_dict(), sort_keys=True)
+
+
+@pytest.mark.parametrize("backend, jobs", [("serial", None), ("process", 2)])
+def test_figure8_is_served_from_figure7_points(backend, jobs):
+    calls = []
+    with Session(backend=backend, jobs=jobs,
+                 progress=calls.append) as session:
+        fig7 = figure7(session=session, **BROADCAST_GRID)
+        simulated = len(calls)
+        fig8 = figure8(session=session, **BROADCAST_GRID)
+    assert simulated == 18
+    assert len(calls) == simulated  # Figure 8 fired no progress
+    gather = fig7.sweeps["broadcast_gather"].results
+    shared = fig8.sweeps["Generic"].results
+    assert len(shared) == 9
+    for coordinate, result in shared.items():
+        assert result is gather[coordinate], coordinate
+
+
+def test_figure8_after_figure7_schedules_no_events(environments):
+    with Session() as session:
+        figure7(session=session, **BROADCAST_GRID)
+        built = len(environments)
+        events = sum(env._eid for env in environments)
+        figure8(session=session, **BROADCAST_GRID)
+    assert built == 18 and events > 0
+    assert len(environments) == built
+    assert sum(env._eid for env in environments) == events
+
+
+def test_each_new_session_simulates_the_point_again():
+    results = []
+    for _ in range(2):
+        calls = []
+        with Session(progress=calls.append) as session:
+            [first] = session.run(one_point())
+            [again] = session.run(one_point())
+        assert len(calls) == 1
+        assert not first.cached and again.cached
+        assert again.result is first.result
+        assert session.cache is None and len(session.point_cache) == 0
+        results.append(first.result)
+    assert results[0] is not results[1]
+    assert payload(results[0]) == payload(results[1])
+
+
+def test_disk_cache_rebuilds_the_result_on_every_load(tmp_path):
+    with Session(cache=tmp_path / "cache") as session:
+        assert session.point_cache is session.cache
+        [first] = session.run(one_point())
+        [again] = session.run(one_point())
+    assert again.cached and again.result is not first.result
+    assert payload(again.result) == payload(first.result)
+
+
+def test_a_failed_point_is_never_kept(monkeypatch):
+    real = runner.execute_point
+    attempts = []
+
+    def fail_first(point):
+        attempts.append(point)
+        if len(attempts) == 1:
+            raise RuntimeError("injected fault")
+        return real(point)
+
+    monkeypatch.setattr(runner, "execute_point", fail_first)
+    session = Session(policy=ExecutionPolicy(on_error="record"))
+    [failed] = session.run(one_point())
+    [retried] = session.run(one_point())
+    assert not failed.ok and "injected fault" in failed.error
+    assert retried.ok and not retried.cached
+    assert len(attempts) == 2
 
 
 def test_describe_is_flat_and_json_safe(tmp_path):

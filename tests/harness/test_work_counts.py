@@ -46,23 +46,6 @@ EVENTS = {
 }
 
 
-@pytest.fixture
-def environments(monkeypatch):
-    """Every Environment the scenario builds: the kernel, link and broker
-    cases append their own, and the experiment harness's are recorded by
-    a subclass patched in for the test."""
-    built = []
-
-    class RecordingEnvironment(Environment):
-        def __init__(self):
-            super().__init__()
-            built.append(self)
-
-    monkeypatch.setattr("repro.harness.experiment.Environment",
-                        RecordingEnvironment)
-    return built
-
-
 def _point_config(**overrides):
     """DTS, Dstream work sharing, 4 producers x 4 consumers x 25 messages."""
     return replace(ExperimentConfig(
