@@ -116,9 +116,14 @@ chaos-smoke:
 # subcommand (stats -> gc -> compact -> snapshot -> rollback), prove the
 # rollback restored the shards byte-for-byte against the snapshot, then
 # re-run the sweep to prove every point is still served from the cache.
+# A simulated point is stored, and a save replaces its shard through a
+# temp file, so the re-run must leave every shard's (inode, mtime) as it
+# recorded them and add none.  No shard may hold a sample column as a JSON
+# float list: the cache stores them packed as hex float64.
 CACHE_SMOKE_CACHE := .cache-smoke-cache
+CACHE_SMOKE_STAT := $(CACHE_SMOKE_CACHE).stat
 cache-smoke:
-	@rm -rf $(CACHE_SMOKE_CACHE)
+	@rm -rf $(CACHE_SMOKE_CACHE) $(CACHE_SMOKE_STAT)
 	$(PYTHON) -m repro.cli sweep --workload Dstream --architectures DTS \
 		--consumers 1 2 --messages 4 --cache $(CACHE_SMOKE_CACHE)
 	$(PYTHON) -m repro.cli cache stats $(CACHE_SMOKE_CACHE)
@@ -134,9 +139,28 @@ cache-smoke:
 			for p in paths}; \
 		sys.exit(0 if live and read(live) == read(saved) \
 			else 'cache-smoke: rollback is not byte-identical')"
+	$(PYTHON) -c "import glob, json, os; \
+		json.dump({p: [os.stat(p).st_ino, os.stat(p).st_mtime_ns] \
+			for p in glob.glob('$(CACHE_SMOKE_CACHE)/??.json')}, \
+			open('$(CACHE_SMOKE_STAT)', 'w'))"
 	$(PYTHON) -m repro.cli sweep --workload Dstream --architectures DTS \
 		--consumers 1 2 --messages 4 --cache $(CACHE_SMOKE_CACHE)
-	@rm -rf $(CACHE_SMOKE_CACHE)
+	$(PYTHON) -c "import glob, json, os, sys; \
+		from repro.harness.cache import SAMPLE_COLUMNS; \
+		shards = sorted(glob.glob('$(CACHE_SMOKE_CACHE)/??.json')); \
+		after = {p: [os.stat(p).st_ino, os.stat(p).st_mtime_ns] \
+			for p in shards}; \
+		runs = [run for p in shards \
+			for entry in json.load(open(p))['entries'].values() \
+			for run in entry['result']['runs']]; \
+		sys.exit('cache-smoke: the re-run added or replaced a shard' \
+			if after != json.load(open('$(CACHE_SMOKE_STAT)')) \
+			else 'cache-smoke: the cache holds no run' if not runs \
+			else 'cache-smoke: a shard holds a JSON float list' \
+			if any(isinstance(run.get(name), list) \
+				for run in runs for name in SAMPLE_COLUMNS) \
+			else 0)"
+	@rm -rf $(CACHE_SMOKE_CACHE) $(CACHE_SMOKE_STAT)
 
 check: lint test claims bench-smoke example sensitivity-smoke \
 	session-smoke population-smoke cache-smoke chaos-smoke

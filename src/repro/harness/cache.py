@@ -6,11 +6,24 @@ the first two hex characters of :meth:`ScenarioPoint.cache_key` (a content
 hash of the point's config and kind).  Each shard holds ``{"version": 1,
 "entries": {<key>: <entry>}}`` and each ``<entry>`` holds the point
 description, a *code fingerprint* (see :func:`code_fingerprint`) and the
-:meth:`~repro.harness.results.ExperimentResult.to_json_dict` payload.
-Figure regeneration passes the same cache path back in and every
-already-computed point is loaded instead of re-simulated, so e.g.
-``repro-streamsim figure fig5 --cache fig-cache`` after ``fig6 --cache
-fig-cache`` only runs the points fig6 did not cover.
+:meth:`~repro.harness.results.ExperimentResult.to_json_dict` payload,
+with each run's sample columns packed (below).  Figure regeneration passes
+the same cache path back in and every already-computed point is loaded
+instead of re-simulated, so e.g. ``repro-streamsim figure fig5 --cache
+fig-cache`` after ``fig6 --cache fig-cache`` only runs the points fig6 did
+not cover.
+
+Packed sample columns: a run's four float columns (:data:`SAMPLE_COLUMNS`:
+``rtt_samples``, ``latency_samples``, ``rtt_weights``, ``latency_weights``)
+are stored as one lowercase hex string each, the column's little-endian
+float64 bytes, so neither a save nor a load formats or parses a JSON float
+and every value, NaN sign included, comes back bit for bit.  Every other
+field stays plain JSON, and ``to_json_dict()`` itself keeps plain lists.
+Hex, not base64: base64 is a quarter shorter on disk, but
+``binascii.a2b_base64`` decodes about five times slower per character than
+``bytes.fromhex``, which costs each warm load more than the shorter parse
+saves.  A column stored as a JSON list (written before packing) still
+loads.
 
 Sharding keeps flushes O(dirty shard), not O(total entries): the runner
 persists results incrementally as points complete, and with one monolithic
@@ -29,8 +42,12 @@ old simulation semantics); pass ``allow_stale=True`` (CLI:
 Robustness: a corrupt or truncated shard (interrupted write, disk full,
 hand editing) is quarantined to ``<shard>.corrupt[-N]`` with a warning and
 that shard starts empty, instead of crashing the sweep that tried to use
-it.  A file whose declared format version is unknown still raises — that is
-a deliberate mismatch, not corruption.
+it.  A shard that parses but holds an entry that does not rebuild (a
+missing field, a truncated hex column, a string where a number belongs)
+loses only that entry: :meth:`ResultCache.load` warns, evicts it and
+reports a miss, so the point is simulated and stored again.  A file whose
+declared format version is unknown still raises — that is a deliberate
+mismatch, not corruption.
 
 Concurrent writers: flushing is *read-merge-write* per shard under a
 per-shard lock file (``<shard>.json.lock``; ``flock`` where available,
@@ -39,11 +56,11 @@ atomic ``os.replace`` the flusher folds any on-disk entries it has not
 seen — another process's completed points — into the outgoing payload, so
 N independent writer processes sharing one cache directory lose nothing
 (the wire model for distributed backends).  Keys this process deliberately
-evicted (stale fingerprints) stay evicted rather than resurrecting from
-disk; conflicting writes to the *same* key resolve last-writer-wins.
-Lock files are tiny and persist between runs (removing one under a live
-``flock`` holder would break mutual exclusion); ``cache gc``/``compact``
-leave them alone.
+evicted (stale fingerprints, malformed entries) stay evicted rather than
+resurrecting from disk; conflicting writes to the *same* key resolve
+last-writer-wins.  Lock files are tiny and persist between runs (removing
+one under a live ``flock`` holder would break mutual exclusion);
+``cache gc``/``compact`` leave them alone.
 
 Results are also persisted *incrementally* while a sweep runs (see
 ``run_scenarios``): :meth:`ResultCache.maybe_save` flushes to disk every
@@ -69,6 +86,8 @@ import warnings
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
+import numpy as np
+
 try:  # POSIX; Windows falls back to the exclusive-create spin lock
     import fcntl
 except ImportError:  # pragma: no cover - platform-dependent
@@ -79,9 +98,13 @@ from .results import ExperimentResult
 from .runner import ScenarioPoint
 
 __all__ = ["ResultCache", "CACHE_VERSION", "code_fingerprint",
-           "shard_lock", "write_shard", "LOCK_SUFFIX"]
+           "shard_lock", "write_shard", "LOCK_SUFFIX", "SAMPLE_COLUMNS"]
 
 CACHE_VERSION = 1
+
+#: The per-run float columns a disk entry stores packed as hex float64.
+SAMPLE_COLUMNS = ("rtt_samples", "latency_samples", "rtt_weights",
+                  "latency_weights")
 
 #: Suffix of the per-shard lock files (``<shard>.json.lock``).
 LOCK_SUFFIX = ".lock"
@@ -144,6 +167,33 @@ def _quarantine_path(path: str) -> str:
 
 def _shard_name(key: str) -> str:
     return key[:2]
+
+
+def _packed(payload: dict) -> dict:
+    """``payload`` (a fresh ``to_json_dict()``) with every run's sample
+    columns packed as hex float64, in place."""
+    for run in payload["runs"]:
+        for name in SAMPLE_COLUMNS:
+            column = run.get(name)
+            if column is not None:
+                run[name] = np.asarray(column, dtype="<f8").tobytes().hex()
+    return payload
+
+
+def _unpacked(payload: dict) -> dict:
+    """A copy of a stored ``payload`` with its packed columns decoded to
+    float64 arrays; the stored entry is left as it is, since it is
+    serialized again by later saves.  Raises ``KeyError``, ``TypeError``
+    or ``ValueError`` on a malformed payload."""
+    runs = []
+    for run in payload["runs"]:
+        run = dict(run)
+        for name in SAMPLE_COLUMNS:
+            column = run.get(name)
+            if isinstance(column, str):
+                run[name] = np.frombuffer(bytes.fromhex(column), dtype="<f8")
+        runs.append(run)
+    return {**payload, "runs": runs}
 
 
 @contextmanager
@@ -249,8 +299,9 @@ class ResultCache:
         self.autosave_min_s = autosave_min_s
         self._entries: dict[str, dict] = {}
         self._dirty_shards: set[str] = set()
-        #: Keys this process deliberately evicted (stale fingerprints).
-        #: The merge-on-flush must not resurrect them from disk.
+        #: Keys this process deliberately evicted (stale fingerprints,
+        #: malformed entries).  The merge-on-flush must not resurrect them
+        #: from disk.
         self._evicted: set[str] = set()
         self._stores_since_save = 0
         self._last_autosave = 0.0
@@ -302,13 +353,16 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._results if self.path is None else self._entries)
 
-    def _evict_stale(self, key: str) -> None:
-        """Drop a stale-fingerprint entry: it never comes back (not even
-        via the merge-on-flush) and its shard is rewritten on save."""
+    def _evict(self, key: str) -> None:
+        """Drop an entry: it never comes back (not even via the
+        merge-on-flush) and its shard is rewritten on save."""
         del self._entries[key]
-        self.stale_evicted += 1
         self._evicted.add(key)
         self._dirty_shards.add(_shard_name(key))
+
+    def _evict_stale(self, key: str) -> None:
+        self._evict(key)
+        self.stale_evicted += 1
 
     def __contains__(self, point: ScenarioPoint) -> bool:
         if self.path is None:
@@ -330,8 +384,11 @@ class ResultCache:
         An entry written by a different version of the ``repro`` source is
         stale: it is evicted and reported as a miss (so the point gets
         recomputed), unless the cache was opened with ``allow_stale=True``.
-        A memory-only cache returns the stored object itself, which
-        callers treat as read-only.
+        An entry that does not rebuild is malformed: it is evicted with a
+        ``RuntimeWarning`` and reported as a miss too (``point in cache``
+        does not rebuild, so only a load finds it).  A memory-only cache
+        returns the stored object itself, which callers treat as
+        read-only.
         """
         key = point.cache_key()
         if self.path is None:
@@ -342,7 +399,14 @@ class ResultCache:
         if not self.allow_stale and entry.get("fingerprint") != code_fingerprint():
             self._evict_stale(key)
             return None
-        return ExperimentResult.from_json_dict(entry["result"])
+        try:
+            return ExperimentResult.from_json_dict(_unpacked(entry["result"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            self._evict(key)
+            warnings.warn(
+                f"result cache entry {key!r} is malformed ({exc!r}); evicted "
+                f"it, so its point runs again", RuntimeWarning, stacklevel=2)
+            return None
 
     def store(self, point: ScenarioPoint, result: ExperimentResult) -> None:
         key = point.cache_key()
@@ -352,7 +416,7 @@ class ResultCache:
         self._entries[key] = {
             "point": point.describe(),
             "fingerprint": code_fingerprint(),
-            "result": result.to_json_dict(),
+            "result": _packed(result.to_json_dict()),
         }
         self._evicted.discard(key)
         self._dirty_shards.add(_shard_name(key))
