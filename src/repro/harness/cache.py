@@ -40,12 +40,13 @@ old simulation semantics); pass ``allow_stale=True`` (CLI:
 ``--allow-stale``) to serve such entries anyway.
 
 Robustness: a corrupt or truncated shard (interrupted write, disk full,
-hand editing) is quarantined to ``<shard>.corrupt[-N]`` with a warning and
-that shard starts empty, instead of crashing the sweep that tried to use
-it.  A shard that parses but holds an entry that does not rebuild (a
-missing field, a truncated hex column, a string where a number belongs)
-loses only that entry: :meth:`ResultCache.load` warns, evicts it and
-reports a miss, so the point is simulated and stored again.  A file whose
+hand editing), or one whose ``entries`` is not an object, is quarantined
+to ``<shard>.corrupt[-N]`` with a warning and that shard starts empty,
+instead of crashing the sweep that tried to use it.  A shard that parses
+but holds an entry that is not an object or does not rebuild (a missing
+field, a truncated hex column, a string where a number belongs) loses
+only that entry: :meth:`ResultCache.load` warns, evicts it and reports a
+miss, so the point is simulated and stored again.  A file whose
 declared format version is unknown still raises — that is a deliberate
 mismatch, not corruption.
 
@@ -156,13 +157,19 @@ def code_fingerprint() -> str:
     return _fingerprint
 
 
-def _quarantine_path(path: str) -> str:
-    candidate = f"{path}.corrupt"
+def _quarantine(path: str, reason: object) -> None:
+    """Move a shard that cannot be read to ``<shard>.corrupt[-N]`` and
+    warn."""
+    quarantined = f"{path}.corrupt"
     counter = 1
-    while os.path.exists(candidate):
-        candidate = f"{path}.corrupt-{counter}"
+    while os.path.exists(quarantined):
+        quarantined = f"{path}.corrupt-{counter}"
         counter += 1
-    return candidate
+    os.replace(path, quarantined)
+    warnings.warn(
+        f"result cache {path!r} is corrupt ({reason}); moved it to "
+        f"{quarantined!r} and starting with an empty cache",
+        RuntimeWarning, stacklevel=4)
 
 
 def _shard_name(key: str) -> str:
@@ -318,9 +325,11 @@ class ResultCache:
 
     # -- on-disk layout -----------------------------------------------------------
     @staticmethod
-    def _load_payload(path: str) -> Optional[dict]:
-        """Parse one cache file; quarantine and warn instead of raising on
-        a corrupt/truncated file (returns None so that shard starts empty)."""
+    def _load_entries(path: str) -> Optional[dict]:
+        """One cache file's ``entries`` object.  A corrupt or truncated
+        file, or one whose ``entries`` is not an object, is quarantined
+        with a warning instead of raising (returns None so that shard
+        starts empty)."""
         try:
             with open(path, encoding="utf-8") as handle:
                 payload = json.load(handle)
@@ -328,26 +337,26 @@ class ResultCache:
                 raise ValueError(f"top-level JSON value is "
                                  f"{type(payload).__name__}, not an object")
         except (json.JSONDecodeError, UnicodeDecodeError, ValueError) as exc:
-            quarantined = _quarantine_path(path)
-            os.replace(path, quarantined)
-            warnings.warn(
-                f"result cache {path!r} is corrupt ({exc}); moved it to "
-                f"{quarantined!r} and starting with an empty cache",
-                RuntimeWarning, stacklevel=3)
+            _quarantine(path, exc)
             return None
         if payload.get("version") != CACHE_VERSION:
             raise ValueError(
                 f"result cache {path!r} has version "
                 f"{payload.get('version')!r}; expected {CACHE_VERSION}")
-        return payload
+        entries = payload.get("entries", {})
+        if not isinstance(entries, dict):
+            _quarantine(path, f"'entries' is {type(entries).__name__}, not "
+                              f"an object")
+            return None
+        return entries
 
     def _load_shards(self, path: str) -> None:
         for name in sorted(os.listdir(path)):
             if len(name) != 7 or not name.endswith(".json"):
                 continue
-            payload = self._load_payload(os.path.join(path, name))
-            if payload is not None:
-                self._entries.update(payload.get("entries", {}))
+            entries = self._load_entries(os.path.join(path, name))
+            if entries is not None:
+                self._entries.update(entries)
 
     # -- mapping protocol -----------------------------------------------------------
     def __len__(self) -> int:
@@ -364,19 +373,34 @@ class ResultCache:
         self._evict(key)
         self.stale_evicted += 1
 
+    def _evict_malformed(self, key: str, reason: str) -> None:
+        self._evict(key)
+        warnings.warn(
+            f"result cache entry {key!r} is malformed ({reason}); evicted "
+            f"it, so its point runs again", RuntimeWarning, stacklevel=3)
+
+    def _current_entry(self, key: str) -> Optional[dict]:
+        """The disk entry under ``key``, or None on a miss.  An entry that
+        is not a JSON object is evicted as malformed, and a stale one is
+        evicted unless the cache allows stale entries; both are misses."""
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        if not isinstance(entry, dict):
+            self._evict_malformed(
+                key, f"{type(entry).__name__}, not an object")
+            return None
+        if not self.allow_stale and entry.get("fingerprint") != code_fingerprint():
+            self._evict_stale(key)
+            return None
+        return entry
+
     def __contains__(self, point: ScenarioPoint) -> bool:
+        # Same lookup as load(), so `point in cache` and cache.load(point)
+        # agree and stale entries cannot outlive either kind of lookup.
         if self.path is None:
             return point.cache_key() in self._results
-        entry = self._entries.get(point.cache_key())
-        if entry is None:
-            return False
-        if self.allow_stale or entry.get("fingerprint") == code_fingerprint():
-            return True
-        # Same semantics as load(): a membership-only probe evicts the
-        # stale entry too, so `point in cache` and cache.load(point) agree
-        # and stale entries cannot outlive either kind of lookup.
-        self._evict_stale(point.cache_key())
-        return False
+        return self._current_entry(point.cache_key()) is not None
 
     def load(self, point: ScenarioPoint) -> Optional[ExperimentResult]:
         """The cached result for ``point``, or ``None`` on a miss.
@@ -384,28 +408,22 @@ class ResultCache:
         An entry written by a different version of the ``repro`` source is
         stale: it is evicted and reported as a miss (so the point gets
         recomputed), unless the cache was opened with ``allow_stale=True``.
-        An entry that does not rebuild is malformed: it is evicted with a
-        ``RuntimeWarning`` and reported as a miss too (``point in cache``
-        does not rebuild, so only a load finds it).  A memory-only cache
-        returns the stored object itself, which callers treat as
-        read-only.
+        An entry that is not a JSON object, or does not rebuild, is
+        malformed: it is evicted with a ``RuntimeWarning`` and reported as
+        a miss too (``point in cache`` does not rebuild, so only a load
+        finds the second kind).  A memory-only cache returns the stored
+        object itself, which callers treat as read-only.
         """
         key = point.cache_key()
         if self.path is None:
             return self._results.get(key)
-        entry = self._entries.get(key)
+        entry = self._current_entry(key)
         if entry is None:
-            return None
-        if not self.allow_stale and entry.get("fingerprint") != code_fingerprint():
-            self._evict_stale(key)
             return None
         try:
             return ExperimentResult.from_json_dict(_unpacked(entry["result"]))
         except (KeyError, TypeError, ValueError) as exc:
-            self._evict(key)
-            warnings.warn(
-                f"result cache entry {key!r} is malformed ({exc!r}); evicted "
-                f"it, so its point runs again", RuntimeWarning, stacklevel=2)
+            self._evict_malformed(key, repr(exc))
             return None
 
     def store(self, point: ScenarioPoint, result: ExperimentResult) -> None:
@@ -451,10 +469,10 @@ class ResultCache:
         """
         if not os.path.exists(shard_path):
             return
-        payload = self._load_payload(shard_path)
-        if payload is None:  # corrupt: quarantined, nothing to merge
+        on_disk = self._load_entries(shard_path)
+        if on_disk is None:  # corrupt: quarantined, nothing to merge
             return
-        for key, entry in payload.get("entries", {}).items():
+        for key, entry in on_disk.items():
             if key in self._entries or key in self._evicted:
                 continue
             entries[key] = entry

@@ -13,9 +13,10 @@ module is the single place where that grid is executed:
   :meth:`ScenarioSet.deployments`; point order is deterministic.
 * :class:`ExecutionBackend` — how the points run: :class:`SerialBackend`
   (in-process, the reference semantics) or :class:`ProcessPoolBackend`
-  (chunked ``multiprocessing``).  Every simulation seeds its own random
-  streams from the config, so parallel execution is bit-identical to serial
-  for the same seeds; outcomes are always returned in submission order.
+  (a ``multiprocessing`` pool that takes one point per task).  Every
+  simulation seeds its own random streams from the config, so parallel
+  execution is bit-identical to serial for the same seeds; outcomes are
+  always returned in submission order.
   Backends are addressable by *name* through a registry
   (:func:`register_backend` / :func:`resolve_backend`), which is how future
   distributed backends (``"ssh"``, ``"slurm"``) plug in without growing any
@@ -568,27 +569,33 @@ class SerialBackend:
         return outcomes
 
 
-class ProcessPoolBackend:
-    """Chunked multiprocessing backend.
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (``taskset`` and cgroup cpusets narrow it below the host's CPU
+    count), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Points are distributed over ``jobs`` worker processes; results are
-    reassembled into submission order, so for the same seeds the output is
-    bit-identical to :class:`SerialBackend` (each simulation derives all of
-    its randomness from the point's config, never from process state).
+
+class ProcessPoolBackend:
+    """Multiprocessing backend: one point per pool task.
+
+    Points run on ``jobs`` worker processes (default: the CPUs this
+    process may use).  A free worker takes the next point in submission
+    order, so each result reaches ``on_result`` and ``progress`` as soon
+    as its own point ends; a batch of points would hold a cheap point's
+    result until the batch's costliest point ended.  Results are
+    reassembled into submission order, so for the same seeds the output
+    is bit-identical to :class:`SerialBackend` (each simulation derives
+    all of its randomness from the point's config, never from process
+    state).
     """
 
     def __init__(self, jobs: Optional[int] = None, *,
-                 chunksize: Optional[int] = None,
                  start_method: Optional[str] = None) -> None:
-        self.jobs = jobs or os.cpu_count() or 1
-        self.chunksize = chunksize
+        self.jobs = jobs or _usable_cpus()
         self.start_method = start_method
-
-    def _chunksize(self, total: int) -> int:
-        if self.chunksize is not None:
-            return max(1, self.chunksize)
-        # ~4 chunks per worker balances load without drowning in IPC.
-        return max(1, total // (self.jobs * 4) or 1)
 
     def run(self, points: Sequence[ScenarioPoint],
             progress: Optional[Callable[[ScenarioPoint], None]] = None, *,
@@ -604,11 +611,12 @@ class ProcessPoolBackend:
                    if self.start_method else multiprocessing.get_context())
         slots: list[Optional[tuple[bool, Any, int]]] = [None] * len(points)
         with context.Pool(processes=min(self.jobs, len(points))) as pool:
+            # Submission order, not cost order: costliest-first delays
+            # every cheap point, cheapest-first lengthens the pass.
             indexed = [(index, point, policy)
                        for index, point in enumerate(points)]
             for index, ok, value, attempts in pool.imap_unordered(
-                    _execute_indexed, indexed,
-                    chunksize=self._chunksize(len(points))):
+                    _execute_indexed, indexed):
                 slots[index] = (ok, value, attempts)
                 # Persist before the user callback: a progress hook that
                 # raises (or a Ctrl-C landing there) must not lose results.

@@ -4,7 +4,8 @@ A disk entry stores each run's four sample columns (``SAMPLE_COLUMNS``) as
 one hex string of little-endian float64 bytes instead of a JSON float list.
 The packing must be invisible: a loaded result carries bit-identical
 columns and serializes to the same ``to_json_dict()`` as the stored one.
-An entry that does not rebuild is a miss, never a crashed sweep.
+An entry that is not an object or does not rebuild is a miss, and a shard
+whose ``entries`` is not an object is quarantined, never a crashed sweep.
 """
 
 from __future__ import annotations
@@ -261,3 +262,60 @@ def test_a_malformed_entry_is_evicted_and_simulated_again(tmp_path, damage):
     assert payload_text(again.result) == payload_text(original.result)
     assert payload_text(ResultCache(cache_dir).load(point)) == payload_text(
         original.result)
+
+
+@pytest.mark.parametrize("lookup", [
+    lambda cache, point: cache.load(point),
+    lambda cache, point: point in cache,
+], ids=["load", "in"])
+def test_an_entry_that_is_not_an_object_is_evicted(tmp_path, lookup):
+    cache_dir = str(tmp_path / "cache")
+    os.makedirs(cache_dir)
+    damaged, other = same_shard_points(2)
+    write_shard(shard_path(cache_dir, damaged), {damaged.cache_key(): "oops"})
+
+    cache = ResultCache(cache_dir)
+    with pytest.warns(RuntimeWarning, match=damaged.cache_key()):
+        assert not lookup(cache, damaged)
+    assert cache.load(damaged) is None
+    assert damaged not in cache
+
+    # A later store and save into the same shard keep the eviction.
+    [fresh] = run_scenarios([other], session=Session(cache=cache))
+    assert not fresh.cached
+    with open(shard_path(cache_dir, other)) as handle:
+        assert list(json.load(handle)["entries"]) == [other.cache_key()]
+    assert payload_text(ResultCache(cache_dir).load(other)) == payload_text(
+        fresh.result)
+
+
+def test_a_shard_whose_entries_is_not_an_object_is_quarantined(tmp_path):
+    cache_dir = str(tmp_path / "cache")
+    os.makedirs(cache_dir)
+    first, second = same_shard_points(2)
+    shard = shard_path(cache_dir, first)
+    content = json.dumps({"version": 1, "entries": "oops"})
+    with open(shard, "w") as handle:
+        handle.write(content)
+
+    with pytest.warns(RuntimeWarning, match="corrupt"):
+        cache = ResultCache(cache_dir)
+    [quarantined] = glob.glob(shard + ".corrupt*")
+    with open(quarantined) as handle:
+        assert handle.read() == content
+    assert cache.load(first) is None
+    assert first not in cache
+    [stored] = run_scenarios([first], session=Session(cache=cache))
+    assert not stored.cached
+
+    # The same shape written by another process is quarantined by the
+    # next save's merge, which then writes the shard afresh.
+    with open(shard, "w") as handle:
+        handle.write(content)
+    cache.store(second, stored.result)
+    with pytest.warns(RuntimeWarning, match="corrupt"):
+        cache.save()
+    assert len(glob.glob(shard + ".corrupt*")) == 2
+    reopened = ResultCache(cache_dir)
+    assert payload_text(reopened.load(first)) == payload_text(stored.result)
+    assert payload_text(reopened.load(second)) == payload_text(stored.result)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import pickle
 
 import pytest
@@ -128,6 +129,14 @@ def test_resolve_backend_prefers_explicit_then_jobs():
     assert isinstance(resolve_backend(None, None), SerialBackend)
 
 
+def test_an_unsized_pool_takes_the_cpus_the_process_may_use(monkeypatch):
+    # As under ``taskset -c 0`` on a larger host.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert ProcessPoolBackend().jobs == 1
+    assert resolve_backend("process").jobs == 1
+
+
 def test_pool_results_bit_identical_to_serial():
     axes = {"architecture": ["DTS", "MSS"], "consumers": [1, 2]}
     serial = run_sweep(tiny_config(), axes)
@@ -143,6 +152,24 @@ def test_pool_preserves_submission_order():
         scenarios, session=Session(backend=ProcessPoolBackend(2)))
     coords = [(o.point.label, o.point.axes["consumers"]) for o in outcomes]
     assert coords == [("DTS", 1), ("DTS", 2), ("MSS", 1), ("MSS", 2)]
+
+
+def test_pool_reports_each_point_when_it_finishes():
+    # A costly point ahead of fifteen cheap ones on two workers: one
+    # worker runs the costly point while the other works through the
+    # cheap ones, each reported as it ends, not held back until the
+    # costly point ends.
+    costly = tiny_config(messages_per_producer=20).with_consumers(64)
+    points = [ScenarioPoint(config=costly, axes={"step": 0})] + [
+        ScenarioPoint(config=tiny_config(messages_per_producer=2,
+                                         seed=seed).with_consumers(1),
+                      axes={"step": seed})
+        for seed in range(1, 16)]
+    completed = []
+    ProcessPoolBackend(2).run(
+        points, lambda point: completed.append(point.axes["step"]))
+    assert sorted(completed) == list(range(16))
+    assert completed.index(1) < completed.index(0)
 
 
 def test_infeasible_point_is_a_result_not_an_error():
