@@ -102,20 +102,28 @@ population-smoke:
 
 # Fast end-to-end smoke for the fault-injection subsystem: a 2-point
 # broker-kill chaos sweep (rate 0 = the fault-free degradation baseline)
-# through the Session API with a result cache.
+# through the Session API with a result cache.  The run's messaging window
+# is about 7 ms, so the kill is drawn inside a 5 ms horizon (the default
+# 50 ms one would schedule it after the run ends), and the step fails
+# unless the rate-1 row's throughput is below the fault-free row's.
 CHAOS_SMOKE_CACHE := .chaos-smoke-cache
+CHAOS_SMOKE_CSV := $(CHAOS_SMOKE_CACHE).csv
 chaos-smoke:
-	@rm -rf $(CHAOS_SMOKE_CACHE)
+	@rm -rf $(CHAOS_SMOKE_CACHE) $(CHAOS_SMOKE_CSV)
 	$(PYTHON) -m repro.cli chaos --fault broker_kill_rate --rates 0 1 \
-		--architectures DTS --consumers 2 --messages 4 \
-		--cache $(CHAOS_SMOKE_CACHE)
-	@rm -rf $(CHAOS_SMOKE_CACHE)
+		--architectures DTS --consumers 2 --messages 4 --horizon 0.005 \
+		--cache $(CHAOS_SMOKE_CACHE) --csv $(CHAOS_SMOKE_CSV)
+	$(PYTHON) -c "import csv, sys; \
+		rows = {float(row['broker_kill_rate']): row \
+			for row in csv.DictReader(open('$(CHAOS_SMOKE_CSV)'))}; \
+		sys.exit(0 if float(rows[1.0]['degradation_vs_0']) < 1 \
+			else 'chaos-smoke: the broker kill did not lower throughput')"
+	@rm -rf $(CHAOS_SMOKE_CACHE) $(CHAOS_SMOKE_CSV)
 
 # Fast end-to-end smoke for the cache lifecycle subsystem: populate a
 # sharded cache with a 2-point sweep, walk it through every `cache`
-# subcommand (stats -> gc -> compact -> snapshot -> rollback), prove the
-# rollback restored the shards byte-for-byte against the snapshot, then
-# re-run the sweep to prove every point is still served from the cache.
+# subcommand (stats -> gc -> compact), then re-run the sweep to prove
+# every point is still served from the cache.
 # A simulated point is stored, and a save replaces its shard through a
 # temp file, so the re-run must leave every shard's (inode, mtime) as it
 # recorded them and add none.  No shard may hold a sample column as a JSON
@@ -129,16 +137,6 @@ cache-smoke:
 	$(PYTHON) -m repro.cli cache stats $(CACHE_SMOKE_CACHE)
 	$(PYTHON) -m repro.cli cache gc $(CACHE_SMOKE_CACHE) --purge-quarantine
 	$(PYTHON) -m repro.cli cache compact $(CACHE_SMOKE_CACHE)
-	$(PYTHON) -m repro.cli cache snapshot smoke $(CACHE_SMOKE_CACHE)
-	$(PYTHON) -m repro.cli cache rollback smoke $(CACHE_SMOKE_CACHE)
-	$(PYTHON) -c "import glob, os, sys; \
-		live = sorted(glob.glob('$(CACHE_SMOKE_CACHE)/??.json')); \
-		saved = sorted(glob.glob( \
-			'$(CACHE_SMOKE_CACHE)/.profiles/smoke/??.json')); \
-		read = lambda paths: {os.path.basename(p): open(p, 'rb').read() \
-			for p in paths}; \
-		sys.exit(0 if live and read(live) == read(saved) \
-			else 'cache-smoke: rollback is not byte-identical')"
 	$(PYTHON) -c "import glob, json, os; \
 		json.dump({p: [os.stat(p).st_ino, os.stat(p).st_mtime_ns] \
 			for p in glob.glob('$(CACHE_SMOKE_CACHE)/??.json')}, \

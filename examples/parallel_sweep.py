@@ -7,8 +7,9 @@ and CLI command:
 1. sweep a grid (architecture x consumer count) with
    :func:`~repro.harness.run_sweep`,
 2. run it under a serial session and a named parallel backend
-   (``Session(backend="process", jobs=N)``) and verify the results are
-   bit-identical (each point derives all randomness from its own config),
+   (``Session(backend="process")``, one worker per CPU this process may
+   use) and verify the results are bit-identical (each point derives all
+   randomness from its own config),
 3. cache the results to a sharded cache directory (``Session(cache=...)``)
    and re-run the sweep instantly from disk, the way figure regeneration
    reuses earlier runs,
@@ -64,13 +65,13 @@ def main() -> None:
     serial = sweep(Session())
     serial_s = time.perf_counter() - start
 
-    jobs = os.cpu_count() or 2
     start = time.perf_counter()
-    with Session(backend="process", jobs=jobs) as session:
+    with Session(backend="process") as session:
         pooled = sweep(session)
     pooled_s = time.perf_counter() - start
 
-    print(f"serial: {serial_s:.2f}s   jobs={jobs}: {pooled_s:.2f}s")
+    print(f"serial: {serial_s:.2f}s   jobs={session.backend.jobs}: "
+          f"{pooled_s:.2f}s")
     print("bit-identical:", serial.rows() == pooled.rows())
     print(format_table(pooled.rows(),
                        title="Dstream / work sharing consumer sweep"))
@@ -91,7 +92,7 @@ def main() -> None:
     # record exhausted points instead of raising.  The policy travels with
     # the session into every backend worker.
     policy = ExecutionPolicy(timeout_s=60.0, retries=2, on_error="record")
-    with Session(jobs=jobs, policy=policy) as session:
+    with Session(backend="process", policy=policy) as session:
         guarded = sweep(session)
     print(f"with policy {policy}: {len(guarded.failures)} failed point(s), "
           f"matches clean run: {guarded.rows() == serial.rows()}")

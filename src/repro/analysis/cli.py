@@ -186,7 +186,7 @@ def check_fixture_corpus(fixtures_dir: str
 
     A fixture may carry ``# lint-fixture: rel_path=repro/simkit/core.py``
     to impersonate a path — needed by path-scoped rules (P002's hot-path
-    class list, D003's allowlist).
+    class list).
     """
     if not os.path.isdir(fixtures_dir):
         raise LintError(f"no fixture corpus at {fixtures_dir!r} "

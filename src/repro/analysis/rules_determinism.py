@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 
 from .engine import Rule, SourceFile, call_name, register_rule
 
-__all__ = ["WALL_CLOCK_CALLS", "WALL_CLOCK_ALLOWED_FILES"]
+__all__ = ["WALL_CLOCK_CALLS"]
 
 #: (module-ish, attr) tails identifying a wall-clock read.  Matched on the
 #: last two dotted components, so ``time.time()``, ``datetime.now()`` and
@@ -28,14 +28,6 @@ WALL_CLOCK_CALLS = frozenset({
     ("datetime", "utcnow"),
     ("date", "today"),
 })
-
-#: Files (suffix-matched on "/"-separated relative paths) allowed to read
-#: the wall clock: cache-admin *metadata* (profile manifests, display
-#: timestamps) never feeds a simulation result.  Anything else needs a
-#: line pragma or a baseline entry with a reviewed rationale.
-WALL_CLOCK_ALLOWED_FILES = (
-    "harness/cache_admin.py",
-)
 
 #: Calls that enumerate a directory in filesystem order.
 _LISTING_CALLS = frozenset({"os.listdir", "os.scandir",
@@ -153,10 +145,8 @@ def check_derived_rng_seed(source: SourceFile) -> Iterator[tuple[int, str]]:
 
 
 def check_no_wall_clock(source: SourceFile) -> Iterator[tuple[int, str]]:
-    """D003: no wall-clock reads outside the metadata allowlist."""
-    if any(source.rel_path.endswith(suffix)
-           for suffix in WALL_CLOCK_ALLOWED_FILES):
-        return
+    """D003: no wall-clock reads; a reviewed exception carries a line
+    pragma."""
     for node in ast.walk(source.tree):
         if not isinstance(node, ast.Call):
             continue
@@ -165,8 +155,7 @@ def check_no_wall_clock(source: SourceFile) -> Iterator[tuple[int, str]]:
         if len(parts) >= 2 and tuple(parts[-2:]) in WALL_CLOCK_CALLS:
             yield (node.lineno,
                    f"wall-clock read `{name}()` — results must not depend "
-                   f"on when they ran (cache-admin metadata is "
-                   f"allowlisted; elsewhere pragma or baseline a reviewed "
+                   f"on when they ran (pragma or baseline a reviewed "
                    f"exception)")
 
 
@@ -273,8 +262,8 @@ register_rule(Rule(
 
 register_rule(Rule(
     code="D003", name="no-wall-clock", category="determinism",
-    rationale="time.time()/datetime.now() outside allowlisted metadata "
-              "makes results depend on when they ran",
+    rationale="time.time()/datetime.now() makes results depend on when "
+              "they ran",
     check=check_no_wall_clock))
 
 register_rule(Rule(

@@ -16,17 +16,16 @@ Examples::
     repro-streamsim deployment
     repro-streamsim cache stats sweep-cache
     repro-streamsim cache gc sweep-cache --purge-quarantine
-    repro-streamsim cache snapshot pre-refactor sweep-cache
+    repro-streamsim cache compact sweep-cache
     repro-streamsim lint --list-rules
     repro-streamsim lint --rule D003 --json
 
 The ``cache`` family administers a sharded result-cache directory
 (lifecycle management, no simulation): ``stats`` reports entries/bytes/
 shards per code fingerprint plus the stale fraction and quarantined
-files, ``gc`` evicts stale-fingerprint entries, ``compact`` rewrites
-shards in sorted-key order (byte-identical entries), and ``snapshot`` /
-``rollback`` / ``profiles`` manage named frozen copies of the shard set
-under ``<cache>/.profiles/``.
+files, ``gc`` evicts stale entries, and ``compact`` rewrites shards in
+sorted-key order (byte-identical entries).  A copy of the directory
+works as a snapshot.
 
 Every experiment-running subcommand builds one execution
 :class:`~repro.harness.session.Session` from a shared option block —
@@ -323,8 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cache = sub.add_parser(
         "cache",
-        help="administer a sharded result cache (stats / gc / compact / "
-             "snapshot / rollback / profiles)")
+        help="administer a sharded result cache (stats / gc / compact)")
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
 
     def cache_path(command: argparse.ArgumentParser) -> None:
@@ -335,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats = cache_sub.add_parser(
         "stats",
         help="entries/bytes/shards per code fingerprint, stale fraction, "
-             "quarantined files, saved profiles")
+             "unreadable shards, quarantined files")
     cache_path(stats)
     stats.add_argument("--csv", default=None,
                        help="also write the per-fingerprint rows to a CSV "
@@ -343,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gc = cache_sub.add_parser(
         "gc",
-        help="evict stale-fingerprint entries and delete emptied shards")
+        help="evict stale entries and delete emptied shards")
     cache_path(gc)
     gc.add_argument("--purge-quarantine", action="store_true",
                     dest="purge_quarantine",
@@ -356,28 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="rewrite shards with sorted keys (surviving entries stay "
              "byte-identical) and clear leftover .tmp files")
     cache_path(compact)
-
-    snapshot = cache_sub.add_parser(
-        "snapshot",
-        help="freeze the current shard set as a named profile "
-             "(<cache>/.profiles/<name>/)")
-    snapshot.add_argument("name", help="profile name")
-    cache_path(snapshot)
-    snapshot.add_argument("--force", action="store_true",
-                          help="replace an existing profile of this name")
-
-    rollback = cache_sub.add_parser(
-        "rollback",
-        help="restore a named profile's shard set (byte-identical; shards "
-             "created since the snapshot are removed)")
-    rollback.add_argument("name", help="profile name")
-    cache_path(rollback)
-
-    profiles = cache_sub.add_parser(
-        "profiles", help="list the cache's saved profiles")
-    cache_path(profiles)
-    profiles.add_argument("--delete", default=None, metavar="NAME",
-                          help="delete this profile instead of listing")
 
     configure_lint_parser(sub)
 
@@ -541,7 +517,7 @@ def _cmd_chaos(args: argparse.Namespace, session: Session) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    """Cache lifecycle administration (stats/gc/compact/profiles)."""
+    """Cache lifecycle administration (stats/gc/compact)."""
     from .harness import cache_admin
 
     path = args.path or os.environ.get("REPRO_CACHE", "").strip() or None
@@ -569,30 +545,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         if args.cache_command == "compact":
             print(f"[cache compact] {cache_admin.compact_cache(path).summary()}")
             return 0
-        if args.cache_command == "snapshot":
-            info = cache_admin.snapshot_cache(path, args.name,
-                                              force=args.force)
-            print(f"[cache snapshot] saved profile {info.name!r}: "
-                  f"{info.entries} entries in {info.shards} shard(s) "
-                  f"under {os.path.join(path, cache_admin.PROFILES_DIR)}")
-            return 0
-        if args.cache_command == "rollback":
-            print(f"[cache rollback] "
-                  f"{cache_admin.rollback_cache(path, args.name).summary()}")
-            return 0
-        if args.cache_command == "profiles":
-            if args.delete is not None:
-                cache_admin.delete_profile(path, args.delete)
-                print(f"[cache profiles] deleted profile {args.delete!r}")
-                return 0
-            profiles = cache_admin.list_profiles(path)
-            if not profiles:
-                print(f"[cache profiles] no profiles saved under {path!r}")
-                return 0
-            print(format_table([profile.as_row() for profile in profiles],
-                               title=f"profiles of {path}"))
-            return 0
-    except cache_admin.CacheAdminError as exc:
+    except ValueError as exc:
+        # A cache path that is a regular file, or a shard of another
+        # format version.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 1  # pragma: no cover - argparse enforces the subcommand set

@@ -15,19 +15,12 @@ entry point.
 
 from .cache import ResultCache, code_fingerprint, shard_lock
 from .cache_admin import (
-    CacheAdminError,
     CacheStats,
     CompactReport,
     GCReport,
-    ProfileInfo,
-    RollbackReport,
     collect_stats,
     compact_cache,
-    delete_profile,
     gc_cache,
-    list_profiles,
-    rollback_cache,
-    snapshot_cache,
 )
 from .config import PATTERN_NAMES, ExperimentConfig
 from .coordinator import Coordinator
@@ -95,17 +88,10 @@ __all__ = [
     "ResultCache",
     "code_fingerprint",
     "shard_lock",
-    "CacheAdminError",
     "CacheStats",
     "CompactReport",
     "GCReport",
-    "ProfileInfo",
-    "RollbackReport",
     "collect_stats",
     "gc_cache",
     "compact_cache",
-    "snapshot_cache",
-    "rollback_cache",
-    "list_profiles",
-    "delete_profile",
 ]

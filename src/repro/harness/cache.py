@@ -33,6 +33,10 @@ are rewritten (each atomically, via a temp file).  A cache path that is a
 regular file (the pre-sharding single-file layout) is refused with a
 ``ValueError``; the ``cache`` admin commands refuse it the same way.
 
+This module alone knows the shard file format: it lists, reads
+(:func:`read_entries`) and writes every file of a cache directory, and
+:mod:`~repro.harness.cache_admin` goes through it.
+
 Version awareness: every entry records the fingerprint of the ``repro``
 source tree that produced it.  An entry whose fingerprint no longer matches
 the running code is treated as a miss and evicted (its result may reflect
@@ -98,8 +102,10 @@ from .._version import __version__
 from .results import ExperimentResult
 from .runner import ScenarioPoint
 
-__all__ = ["ResultCache", "CACHE_VERSION", "code_fingerprint",
-           "shard_lock", "write_shard", "LOCK_SUFFIX", "SAMPLE_COLUMNS"]
+__all__ = ["ResultCache", "CACHE_VERSION", "CorruptShard", "code_fingerprint",
+           "read_entries", "shard_lock", "shard_paths", "shard_text",
+           "quarantine_paths", "tmp_paths", "write_shard", "LOCK_SUFFIX",
+           "SAMPLE_COLUMNS"]
 
 CACHE_VERSION = 1
 
@@ -121,12 +127,9 @@ LOCK_STALE_S = 60.0
 _fingerprint: Optional[str] = None
 
 
-def not_a_cache_directory(path: str) -> str:
-    """The refusal for a cache path that is a regular file, shared by
-    :class:`ResultCache` and the ``cache`` admin commands."""
-    return (f"{path!r} is a file, but a result cache is a directory of "
-            f"shards; single-file caches are not read (delete the file or "
-            f"pass a directory path)")
+class CorruptShard(Exception):
+    """A shard file that does not parse, or whose top level or ``entries``
+    is not a JSON object."""
 
 
 def code_fingerprint() -> str:
@@ -157,6 +160,40 @@ def code_fingerprint() -> str:
     return _fingerprint
 
 
+def _listing(path: str, wanted) -> list[str]:
+    """The files of cache directory ``path`` whose names ``wanted`` accepts,
+    sorted by name; none when the directory does not exist.  A ``path``
+    that is a regular file is refused with a ``ValueError``."""
+    try:
+        return sorted(entry.path for entry in os.scandir(path)
+                      if wanted(entry.name) and entry.is_file())
+    except (FileNotFoundError, NotADirectoryError):
+        if os.path.isfile(path):
+            raise ValueError(
+                f"{path!r} is a file, but a result cache is a directory of "
+                f"shards; single-file caches are not read (delete the file "
+                f"or pass a directory path)") from None
+        return []
+
+
+def shard_paths(path: str) -> list[str]:
+    """Every shard file (``<xx>.json``) of a cache directory, sorted."""
+    return _listing(path, lambda name: len(name) == 7
+                    and name.endswith(".json"))
+
+
+def quarantine_paths(path: str) -> list[str]:
+    """Every quarantined shard (``<xx>.json.corrupt[-N]``), sorted."""
+    return _listing(path, lambda name: name[2:].startswith(".json.corrupt"))
+
+
+def tmp_paths(path: str) -> list[str]:
+    """Every ``<xx>.json.tmp`` that an interrupted :func:`write_shard` left
+    behind, sorted."""
+    return _listing(path, lambda name: len(name) == 11
+                    and name.endswith(".json.tmp"))
+
+
 def _quarantine(path: str, reason: object) -> None:
     """Move a shard that cannot be read to ``<shard>.corrupt[-N]`` and
     warn."""
@@ -170,6 +207,33 @@ def _quarantine(path: str, reason: object) -> None:
         f"result cache {path!r} is corrupt ({reason}); moved it to "
         f"{quarantined!r} and starting with an empty cache",
         RuntimeWarning, stacklevel=4)
+
+
+def read_entries(shard_path: str) -> dict:
+    """One shard file's ``entries`` object; moves and writes nothing.
+
+    Raises :class:`CorruptShard` when the file does not parse or its top
+    level or ``entries`` is not an object, and ``ValueError`` when its
+    declared version is not :data:`CACHE_VERSION`: that is a deliberate
+    mismatch, not corruption.
+    """
+    try:
+        with open(shard_path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise CorruptShard(exc) from exc
+    if not isinstance(payload, dict):
+        raise CorruptShard(f"top-level JSON value is "
+                           f"{type(payload).__name__}, not an object")
+    if payload.get("version") != CACHE_VERSION:
+        raise ValueError(
+            f"result cache {shard_path!r} has version "
+            f"{payload.get('version')!r}; expected {CACHE_VERSION}")
+    entries = payload.get("entries", {})
+    if not isinstance(entries, dict):
+        raise CorruptShard(f"'entries' is {type(entries).__name__}, not an "
+                           f"object")
+    return entries
 
 
 def _shard_name(key: str) -> str:
@@ -270,16 +334,22 @@ def shard_lock(shard_path: str, *,
             pass
 
 
+def shard_text(entries: dict) -> str:
+    """The text of a shard file holding ``entries``.  It is encoded with
+    ``json.dumps``, which runs the C encoder; ``json.dump`` writes the same
+    bytes through the pure-Python encoder, about twice as slowly."""
+    return json.dumps({"version": CACHE_VERSION, "entries": entries})
+
+
 def write_shard(shard_path: str, entries: dict) -> None:
-    """Atomically replace one shard file with ``entries``.
+    """Atomically replace one shard file with :func:`shard_text` of
+    ``entries``.
 
     The text goes to ``<shard>.tmp`` and is then renamed over the shard,
-    so a reader sees the old or the new shard, never half of one.  It is
-    encoded with ``json.dumps``, which runs the C encoder; ``json.dump``
-    writes the same bytes through the pure-Python encoder, about twice as
-    slowly.  Callers hold the shard's :func:`shard_lock`.
+    so a reader sees the old or the new shard, never half of one.  Callers
+    hold the shard's :func:`shard_lock`.
     """
-    text = json.dumps({"version": CACHE_VERSION, "entries": entries})
+    text = shard_text(entries)
     tmp_path = f"{shard_path}.tmp"
     # The caller holds the lock; lint rule L001 checks every call site.
     with open(tmp_path, "w", encoding="utf-8") as handle:  # repro: allow[L001]
@@ -316,45 +386,24 @@ class ResultCache:
         self.stale_evicted = 0
         #: Memory-only mode: the stored result objects, by key.
         self._results: dict[str, ExperimentResult] = {}
-        if path is None:
-            return
-        if os.path.isfile(path):
-            raise ValueError(not_a_cache_directory(path))
-        if os.path.isdir(path):
+        if path is not None:
             self._load_shards(path)
 
     # -- on-disk layout -----------------------------------------------------------
     @staticmethod
     def _load_entries(path: str) -> Optional[dict]:
-        """One cache file's ``entries`` object.  A corrupt or truncated
-        file, or one whose ``entries`` is not an object, is quarantined
-        with a warning instead of raising (returns None so that shard
-        starts empty)."""
+        """One shard's ``entries`` object (:func:`read_entries`).  A
+        corrupt shard is quarantined with a warning instead of raising
+        (returns None so that shard starts empty)."""
         try:
-            with open(path, encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if not isinstance(payload, dict):
-                raise ValueError(f"top-level JSON value is "
-                                 f"{type(payload).__name__}, not an object")
-        except (json.JSONDecodeError, UnicodeDecodeError, ValueError) as exc:
+            return read_entries(path)
+        except CorruptShard as exc:
             _quarantine(path, exc)
             return None
-        if payload.get("version") != CACHE_VERSION:
-            raise ValueError(
-                f"result cache {path!r} has version "
-                f"{payload.get('version')!r}; expected {CACHE_VERSION}")
-        entries = payload.get("entries", {})
-        if not isinstance(entries, dict):
-            _quarantine(path, f"'entries' is {type(entries).__name__}, not "
-                              f"an object")
-            return None
-        return entries
 
     def _load_shards(self, path: str) -> None:
-        for name in sorted(os.listdir(path)):
-            if len(name) != 7 or not name.endswith(".json"):
-                continue
-            entries = self._load_entries(os.path.join(path, name))
+        for shard_path in shard_paths(path):
+            entries = self._load_entries(shard_path)
             if entries is not None:
                 self._entries.update(entries)
 
@@ -422,7 +471,7 @@ class ResultCache:
             return None
         try:
             return ExperimentResult.from_json_dict(_unpacked(entry["result"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             self._evict_malformed(key, repr(exc))
             return None
 

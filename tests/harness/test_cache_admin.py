@@ -1,4 +1,4 @@
-"""Cache lifecycle subsystem: stats, GC, compaction, named profiles, CLI."""
+"""Cache lifecycle subsystem: stats, GC, compaction, CLI."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import pytest
 from repro.architectures import TestbedConfig
 from repro.cli import main
 from repro.harness import (
-    CacheAdminError,
     ExperimentConfig,
     ResultCache,
     ScenarioPoint,
@@ -19,13 +18,8 @@ from repro.harness import (
     code_fingerprint,
     collect_stats,
     compact_cache,
-    delete_profile,
     gc_cache,
-    list_profiles,
-    rollback_cache,
-    snapshot_cache,
 )
-from repro.harness.cache_admin import PROFILES_DIR
 from repro.harness.runner import execute_point
 
 
@@ -153,7 +147,7 @@ def test_admin_refuses_legacy_single_file(tmp_path):
     path = tmp_path / "cache.json"
     path.write_text(json.dumps({"version": 1, "entries": {}}))
     for operation in (collect_stats, gc_cache, compact_cache):
-        with pytest.raises(CacheAdminError, match="single-file"):
+        with pytest.raises(ValueError, match="single-file"):
             operation(str(path))
 
 
@@ -253,103 +247,6 @@ def test_compact_clears_tmp_leftovers(tmp_path, tiny_result):
 
 
 # ---------------------------------------------------------------------------
-# Named profiles: snapshot / rollback
-# ---------------------------------------------------------------------------
-
-def test_snapshot_and_rollback_restore_exact_bytes(tmp_path, tiny_result):
-    path = str(tmp_path / "cache")
-    populate(path, (1, 2, 3), tiny_result)
-    frozen = shard_bytes(path)
-
-    info = snapshot_cache(path, "pre-change")
-    assert info.entries == 3
-    assert info.fingerprint == code_fingerprint()
-
-    # Diverge: age everything, gc it away, add new points.
-    age_entries(path)
-    gc_cache(path)
-    populate(path, (20, 21, 22, 23), tiny_result)
-    assert shard_bytes(path) != frozen
-
-    report = rollback_cache(path, "pre-change")
-    assert report.restored_shards == len(frozen)
-    assert shard_bytes(path) == frozen  # byte-identical restore
-    cache = ResultCache(path)
-    assert all(point_for_seed(seed) in cache for seed in (1, 2, 3))
-
-
-def test_rollback_removes_shards_created_after_snapshot(tmp_path,
-                                                        tiny_result):
-    path = str(tmp_path / "cache")
-    populate(path, (1,), tiny_result)
-    snapshot_cache(path, "small")
-    saved = set(shard_bytes(path))
-    populate(path, range(2, 10), tiny_result)
-    grown = set(shard_bytes(path))
-    assert grown > saved
-
-    report = rollback_cache(path, "small")
-    assert set(shard_bytes(path)) == saved
-    assert report.removed_shards == len(grown - saved)
-
-
-def test_snapshot_name_collision_and_force(tmp_path, tiny_result):
-    path = str(tmp_path / "cache")
-    populate(path, (1,), tiny_result)
-    snapshot_cache(path, "pre")
-    with pytest.raises(CacheAdminError, match="already exists"):
-        snapshot_cache(path, "pre")
-    populate(path, (2,), tiny_result)
-    info = snapshot_cache(path, "pre", force=True)
-    assert info.entries == 2
-
-
-@pytest.mark.parametrize("name", ["", ".hidden", "a/b", "a b", "../up"])
-def test_profile_names_are_validated(tmp_path, tiny_result, name):
-    path = str(tmp_path / "cache")
-    populate(path, (1,), tiny_result)
-    with pytest.raises(CacheAdminError, match="profile name"):
-        snapshot_cache(path, name)
-
-
-def test_rollback_unknown_profile_names_the_known_ones(tmp_path,
-                                                       tiny_result):
-    path = str(tmp_path / "cache")
-    populate(path, (1,), tiny_result)
-    snapshot_cache(path, "known")
-    with pytest.raises(CacheAdminError, match="known"):
-        rollback_cache(path, "missing")
-
-
-def test_list_and_delete_profiles(tmp_path, tiny_result):
-    path = str(tmp_path / "cache")
-    populate(path, (1,), tiny_result)
-    snapshot_cache(path, "alpha")
-    snapshot_cache(path, "beta")
-    assert [p.name for p in list_profiles(path)] == ["alpha", "beta"]
-    delete_profile(path, "alpha")
-    assert [p.name for p in list_profiles(path)] == ["beta"]
-    with pytest.raises(CacheAdminError, match="unknown profile"):
-        delete_profile(path, "alpha")
-    # Profiles live under the dot-directory, invisible to shard loading.
-    assert os.path.isdir(os.path.join(path, PROFILES_DIR, "beta"))
-    assert len(ResultCache(path)) == 1
-
-
-def test_profiles_do_not_pollute_stats_or_gc(tmp_path, tiny_result):
-    path = str(tmp_path / "cache")
-    populate(path, (1, 2), tiny_result)
-    snapshot_cache(path, "keep")
-    age_entries(path)
-    gc_cache(path)
-    # The cache emptied, but the profile's copies are untouched.
-    assert collect_stats(path).entries == 0
-    assert list_profiles(path)[0].entries == 2
-    rollback_cache(path, "keep")
-    assert collect_stats(path).entries == 2
-
-
-# ---------------------------------------------------------------------------
 # Session integration
 # ---------------------------------------------------------------------------
 
@@ -382,24 +279,6 @@ def test_cli_cache_stats_and_gc(tmp_path, capsys, tiny_result):
     assert collect_stats(path).stale_entries == 0
 
 
-def test_cli_cache_snapshot_rollback_profiles(tmp_path, capsys,
-                                              tiny_result):
-    path = str(tmp_path / "cache")
-    populate(path, (1, 2), tiny_result)
-    frozen = shard_bytes(path)
-
-    assert main(["cache", "snapshot", "pre", path]) == 0
-    populate(path, (3, 4, 5), tiny_result)
-    assert main(["cache", "compact", path]) == 0
-    assert main(["cache", "rollback", "pre", path]) == 0
-    assert shard_bytes(path) == frozen
-
-    assert main(["cache", "profiles", path]) == 0
-    assert "pre" in capsys.readouterr().out
-    assert main(["cache", "profiles", path, "--delete", "pre"]) == 0
-    assert list_profiles(path) == []
-
-
 def test_cli_cache_path_falls_back_to_env(tmp_path, capsys, monkeypatch,
                                           tiny_result):
     path = str(tmp_path / "cache")
@@ -417,5 +296,51 @@ def test_cli_cache_errors_are_clean_diagnostics(tmp_path, capsys,
                                                 tiny_result):
     path = str(tmp_path / "cache")
     populate(path, (1,), tiny_result)
-    assert main(["cache", "rollback", "nope", path]) == 2
-    assert "unknown profile" in capsys.readouterr().err
+    with open(os.path.join(path, "zz.json"), "w") as handle:
+        json.dump({"version": 99, "entries": {}}, handle)
+    for command in ("stats", "gc", "compact"):
+        assert main(["cache", command, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "version 99" in err
+        assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# Malformed shards: every command survives what ResultCache survives
+# ---------------------------------------------------------------------------
+
+MALFORMED_SHARDS = {
+    "entries-not-object": {"version": 1, "entries": "oops"},
+    "entry-not-object": {"version": 1, "entries": {"ab12": "oops"}},
+    "fingerprint-not-string": {"version": 1,
+                               "entries": {"ab12": {"fingerprint": ["x"]}}},
+}
+
+
+@pytest.mark.parametrize("command", ["stats", "gc", "compact"])
+@pytest.mark.parametrize("shape", sorted(MALFORMED_SHARDS))
+def test_cli_cache_survives_malformed_shards(tmp_path, capsys, shape,
+                                             command):
+    path = str(tmp_path / "cache")
+    os.makedirs(path)
+    shard = os.path.join(path, "ab.json")
+    with open(shard, "w") as handle:
+        json.dump(MALFORMED_SHARDS[shape], handle)
+    before = shard_bytes(path)
+    unreadable = shape == "entries-not-object"
+
+    assert main(["cache", command, path]) == 0
+    capsys.readouterr()
+    assert not glob.glob(shard + ".corrupt*")  # nothing is quarantined
+    if command == "gc" and not unreadable:
+        assert not os.path.exists(shard)  # its one stale entry was evicted
+    else:
+        # stats is read-only, an unreadable shard is skipped, and compact
+        # keeps a stale entry's bytes.
+        assert shard_bytes(path) == before
+    if command == "stats":
+        stats = collect_stats(path)
+        assert (stats.corrupt_shards, stats.entries, stats.stale_entries) == (
+            (1, 0, 0) if unreadable else (0, 1, 1))
+        if not unreadable:
+            assert stats.fingerprints["<none>"].stale

@@ -233,8 +233,12 @@ def _string_in_list(result: dict) -> None:
     result["runs"][0]["latency_samples"] = ["0.5", "not a float"]
 
 
+def _int_past_float_range(result: dict) -> None:
+    result["runs"][0]["latency_samples"] = [10 ** 400]
+
+
 @pytest.mark.parametrize("damage", [_drop_runs, _odd_hex, _partial_float,
-                                    _string_in_list])
+                                    _string_in_list, _int_past_float_range])
 def test_a_malformed_entry_is_evicted_and_simulated_again(tmp_path, damage):
     cache_dir = str(tmp_path / "cache")
     point = ScenarioPoint(config=tiny_config())
