@@ -6,7 +6,7 @@ and CLI command:
 
 1. sweep a grid (architecture x consumer count) with
    :func:`~repro.harness.run_sweep`,
-2. run it under a serial session and a named parallel backend
+2. run it under a serial session and the parallel backend
    (``Session(backend="process")``, one worker per CPU this process may
    use) and verify the results are bit-identical (each point derives all
    randomness from its own config),
@@ -14,8 +14,8 @@ and CLI command:
    and re-run the sweep instantly from disk, the way figure regeneration
    reuses earlier runs,
 4. run under an :class:`~repro.harness.ExecutionPolicy` carried by the
-   session so per-point timeouts, retries and failures become structured
-   records instead of killing the sweep,
+   session so per-point timeouts and failures become structured records
+   instead of killing the sweep,
 5. build the same session from ``REPRO_*`` environment variables with
    :meth:`~repro.harness.Session.from_env` — the CLI's configuration path.
 
@@ -87,11 +87,10 @@ def main() -> None:
         print(f"re-run from cache: {cached_s:.3f}s "
               f"(matches: {cached.rows() == serial.rows()})")
 
-    # Fault tolerance: bound each point to 60s of wall clock, retry twice
-    # (retries re-derive their seeds, so results match a clean run), and
-    # record exhausted points instead of raising.  The policy travels with
-    # the session into every backend worker.
-    policy = ExecutionPolicy(timeout_s=60.0, retries=2, on_error="record")
+    # Fault tolerance: bound each point to 60s of wall clock and record
+    # failed points instead of raising.  The policy travels with the
+    # session into every backend worker.
+    policy = ExecutionPolicy(timeout_s=60.0, on_error="record")
     with Session(backend="process", policy=policy) as session:
         guarded = sweep(session)
     print(f"with policy {policy}: {len(guarded.failures)} failed point(s), "

@@ -10,11 +10,11 @@ that invariant checkable; L002 guards its in-memory shadow (the
 ``_evicted`` set, which the locked merge consults to keep deliberate
 evictions from resurrecting).
 
-B001 encodes the backend registry contract from PR 4: a registered
-backend's ``run`` must route point execution through the shared indexed
-worker (``_execute_indexed`` / ``_attempt_point``) — that is where
-:class:`~repro.harness.runner.ExecutionPolicy` timeouts, retries and
-ordered reassembly live.  A backend that maps ``execute_point`` raw gets
+B001 encodes the backend contract: every backend's ``run`` must route
+point execution through the shared indexed worker (``_execute_indexed`` /
+``_attempt_point``) — that is where
+:class:`~repro.harness.runner.ExecutionPolicy` timeouts, failure capture
+and ordered reassembly live.  A backend that maps ``execute_point`` raw gets
 none of them, and the failure mode (policy silently unenforced) is
 invisible until a point hangs a distributed sweep.
 """
@@ -194,7 +194,7 @@ def check_backend_contract(source: SourceFile) -> Iterator[tuple[int, str]]:
                        and arg.id == "execute_point" for arg in node.args):
                     yield (node.lineno,
                            "mapping `execute_point` raw bypasses "
-                           "ExecutionPolicy (timeout/retries/on_error); "
+                           "ExecutionPolicy (timeout/on_error); "
                            "route through `_execute_indexed`")
             continue
         if not isinstance(node, ast.ClassDef):
@@ -228,7 +228,7 @@ def check_backend_contract(source: SourceFile) -> Iterator[tuple[int, str]]:
                 yield (method.lineno,
                        f"{node.name}.run() never routes points through "
                        f"`_execute_indexed`/`_attempt_point` (or another "
-                       f"backend) — ExecutionPolicy timeouts/retries and "
+                       f"backend) — ExecutionPolicy timeouts, failures and "
                        f"ordered reassembly are silently unenforced")
 
 
@@ -246,6 +246,6 @@ register_rule(Rule(
 
 register_rule(Rule(
     code="B001", name="backend-policy-contract", category="backend",
-    rationale="a registered backend's run() must route execution through "
+    rationale="every backend's run() must route execution through "
               "_execute_indexed/policy enforcement, not raw map",
     check=check_backend_contract))

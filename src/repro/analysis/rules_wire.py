@@ -46,11 +46,10 @@ HOT_PATH_SLOTS_CLASSES = (
     ("simkit/core.py", "Event"),
     ("simkit/core.py", "Timeout"),
     ("simkit/core.py", "Process"),
-    ("simkit/core.py", "Condition"),
+    ("simkit/core.py", "AnyOf"),
     ("simkit/core.py", "Environment"),
     ("simkit/resources.py", "HandoffServer"),
     ("simkit/monitor.py", "Counter"),
-    ("simkit/monitor.py", "TimeSeries"),
     ("simkit/rand.py", "BatchedUniform"),
     ("netsim/message.py", "Message"),
 )

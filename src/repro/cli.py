@@ -30,13 +30,12 @@ works as a snapshot.
 Every experiment-running subcommand builds one execution
 :class:`~repro.harness.session.Session` from a shared option block —
 ``--jobs N`` (fan points out over workers, bit-identical to serial for the
-same seed), ``--backend serial|process`` (named registry backends),
-``--cache PATH`` (sharded JSON result-cache directory reused across
-invocations; entries written by older code are auto-invalidated unless
-``--allow-stale``; a path that is a regular file is refused), and
-``--timeout S`` / ``--retries N`` / ``--on-error raise|skip|record`` to
-bound each point's wall-clock time and decide what a point that exhausts
-its attempts becomes.
+same seed), ``--backend serial|process``, ``--cache PATH`` (sharded JSON
+result-cache directory reused across invocations; entries written by
+older code are auto-invalidated unless ``--allow-stale``; a path that is
+a regular file is refused), and ``--timeout S`` / ``--on-error
+raise|skip|record`` to bound each point's wall-clock time and decide what
+a failed point becomes.
 Options left unset fall back to ``REPRO_JOBS``/``REPRO_BACKEND``/
 ``REPRO_CACHE``/... environment variables (see
 :meth:`~repro.harness.session.Session.from_env`), so scripted and
@@ -68,12 +67,12 @@ from .core import (
 from .core.study import PAPER_ARCHITECTURES
 from .faults import FAULT_AXES, FaultPlan
 from .harness import (
+    BACKEND_NAMES,
     ON_ERROR_MODES,
     PAPER_CONSUMER_COUNTS,
     ExperimentConfig,
     ScenarioSet,
     Session,
-    backend_names,
     run_sweep,
     scale_link_tiers,
 )
@@ -86,13 +85,6 @@ def _positive_float(text: str) -> float:
     value = float(text)
     if value <= 0:
         raise argparse.ArgumentTypeError("must be a positive number")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
     return value
 
 
@@ -141,16 +133,16 @@ def _execution_options() -> argparse.ArgumentParser:
     group = parent.add_argument_group(
         "execution", "execution-session options (unset options fall back "
                      "to REPRO_JOBS / REPRO_BACKEND / REPRO_CACHE / "
-                     "REPRO_TIMEOUT / REPRO_RETRIES / REPRO_ON_ERROR)")
+                     "REPRO_TIMEOUT / REPRO_ON_ERROR)")
     group.add_argument(
         "--jobs", type=_positive_int, default=None, metavar="N",
         help="run scenario points on N workers, N >= 1 (bit-identical to "
              "serial execution for the same seed)")
     group.add_argument(
-        "--backend", choices=backend_names(), default=None,
-        help="named execution backend from the registry (default: process "
-             "pool when --jobs > 1, else serial; the serial backend runs "
-             "one point at a time and ignores --jobs)")
+        "--backend", choices=BACKEND_NAMES, default=None,
+        help="execution backend (default: process pool when --jobs > 1, "
+             "else serial; the serial backend runs one point at a time and "
+             "ignores --jobs)")
     group.add_argument(
         "--cache", default=None, metavar="PATH",
         help="sharded JSON result cache directory; already-computed points "
@@ -163,21 +155,16 @@ def _execution_options() -> argparse.ArgumentParser:
     group.add_argument(
         "--timeout", type=_positive_float, default=None, metavar="SECONDS",
         help="per-point wall-clock timeout; a point that exceeds it counts "
-             "as a failure (and is retried if --retries > 0)")
-    # None defaults are "not given" sentinels: an explicit `--retries 0` /
-    # `--on-error raise` must override REPRO_RETRIES/REPRO_ON_ERROR rather
-    # than being mistaken for the unset default.
-    group.add_argument(
-        "--retries", type=_non_negative_int, default=None, metavar="N",
-        help="extra attempts per failed/timed-out point (default 0); "
-             "retries re-derive their seeds from the config, so results "
-             "match a clean run")
+             "as a failure")
+    # The None default is a "not given" sentinel: an explicit `--on-error
+    # raise` must override REPRO_ON_ERROR rather than being mistaken for
+    # the unset default.
     group.add_argument(
         "--on-error", choices=ON_ERROR_MODES, default=None,
         dest="on_error",
-        help="what a point that exhausts its attempts becomes: raise "
-             "aborts the sweep (default), skip drops the point, record "
-             "reports it as a failed row")
+        help="what a failed point becomes: raise aborts the sweep "
+             "(default), skip drops the point, record reports it as a "
+             "failed row")
     return parent
 
 
@@ -418,13 +405,12 @@ def _cmd_experiment(args: argparse.Namespace, session: Session) -> int:
         num_consumers=args.consumers, messages_per_producer=args.messages,
         runs=args.runs, seed=args.seed, population=args.population)
     # One point through the same session machinery as every sweep, so a
-    # single experiment honors --cache/--timeout/--retries too.
+    # single experiment honors --cache/--timeout/--on-error too.
     outcomes = session.run(ScenarioSet().add_config(config))
     failed = [outcome for outcome in outcomes if not outcome.ok]
     if failed or not outcomes:
         for outcome in failed:
-            print(f"experiment failed after {outcome.attempts} attempt(s):\n"
-                  f"{outcome.error}", file=sys.stderr)
+            print(f"experiment failed:\n{outcome.error}", file=sys.stderr)
         if not outcomes:  # the point failed and --on-error skip dropped it
             print("experiment failed and was dropped by --on-error skip",
                   file=sys.stderr)

@@ -80,7 +80,7 @@ def architecture_comparison_rows(
 
     The deployments run through the unified scenario runner under
     ``session``, so a parallel session deploys the architectures
-    concurrently and its policy adds per-deployment timeout/retry handling.
+    concurrently and its policy adds a per-deployment timeout.
     """
     reports = deployment_comparison(architectures, testbed_config=testbed_config,
                                     session=session)

@@ -6,7 +6,7 @@ architecture comparisons, figure regeneration, the CLI — goes through the
 unified scenario runner in :mod:`repro.harness.runner`, and every grid of
 experiment outcomes is collected by :func:`~repro.harness.sweep.run_sweep`
 into one coordinate-keyed :class:`~repro.harness.sweep.SweepResult`.  Execution context
-(named backend, result cache, execution policy, progress) travels as one
+(backend, result cache, execution policy, progress) travels as one
 :class:`~repro.harness.session.Session` object: build it once (directly,
 from ``REPRO_*`` environment variables via :meth:`Session.from_env`, or
 from CLI args via :meth:`Session.from_args`) and pass ``session=`` to any
@@ -27,8 +27,8 @@ from .coordinator import Coordinator
 from .experiment import Experiment, run_experiment
 from .results import ExperimentResult, PointFailure, RunResult
 from .runner import (
+    BACKEND_NAMES,
     ON_ERROR_MODES,
-    BackendFactory,
     ExecutionBackend,
     ExecutionPolicy,
     PointOutcome,
@@ -38,12 +38,8 @@ from .runner import (
     ScenarioPoint,
     ScenarioSet,
     SerialBackend,
-    backend_names,
-    create_backend,
-    register_backend,
     resolve_backend,
     run_scenarios,
-    unregister_backend,
 )
 from .session import ENV_PREFIX, Session
 from .sweep import (
@@ -76,11 +72,7 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "BackendFactory",
-    "register_backend",
-    "unregister_backend",
-    "backend_names",
-    "create_backend",
+    "BACKEND_NAMES",
     "resolve_backend",
     "run_scenarios",
     "Session",

@@ -214,8 +214,9 @@ def read_entries(shard_path: str) -> dict:
 
     Raises :class:`CorruptShard` when the file does not parse or its top
     level or ``entries`` is not an object, and ``ValueError`` when its
-    declared version is not :data:`CACHE_VERSION`: that is a deliberate
-    mismatch, not corruption.
+    declared version is not the integer :data:`CACHE_VERSION` (``true``,
+    ``1.0`` and ``"1"`` are refused too): that is a deliberate mismatch,
+    not corruption.
     """
     try:
         with open(shard_path, encoding="utf-8") as handle:
@@ -225,10 +226,11 @@ def read_entries(shard_path: str) -> dict:
     if not isinstance(payload, dict):
         raise CorruptShard(f"top-level JSON value is "
                            f"{type(payload).__name__}, not an object")
-    if payload.get("version") != CACHE_VERSION:
+    version = payload.get("version")
+    if type(version) is not int or version != CACHE_VERSION:
         raise ValueError(
-            f"result cache {shard_path!r} has version "
-            f"{payload.get('version')!r}; expected {CACHE_VERSION}")
+            f"result cache {shard_path!r} has version {version!r}; "
+            f"expected {CACHE_VERSION}")
     entries = payload.get("entries", {})
     if not isinstance(entries, dict):
         raise CorruptShard(f"'entries' is {type(entries).__name__}, not an "
@@ -238,6 +240,12 @@ def read_entries(shard_path: str) -> dict:
 
 def _shard_name(key: str) -> str:
     return key[:2]
+
+
+def _warn_malformed(key: str, reason: str) -> None:
+    warnings.warn(
+        f"result cache entry {key!r} is malformed ({reason}); evicted it, "
+        f"so its point runs again", RuntimeWarning, stacklevel=4)
 
 
 def _packed(payload: dict) -> dict:
@@ -404,8 +412,18 @@ class ResultCache:
     def _load_shards(self, path: str) -> None:
         for shard_path in shard_paths(path):
             entries = self._load_entries(shard_path)
-            if entries is not None:
-                self._entries.update(entries)
+            if entries is None:
+                continue
+            shard = os.path.basename(shard_path)[:2]
+            for key in [key for key in entries if _shard_name(key) != shard]:
+                # A misfiled entry would be written nowhere once its shard
+                # is saved.  It is not re-homed: a key read from disk is
+                # outside input, and its prefix may not name a shard file.
+                del entries[key]
+                self._evicted.add(key)
+                self._dirty_shards.add(shard)
+                _warn_malformed(key, f"it was filed in {shard_path!r}")
+            self._entries.update(entries)
 
     # -- mapping protocol -----------------------------------------------------------
     def __len__(self) -> int:
@@ -424,9 +442,7 @@ class ResultCache:
 
     def _evict_malformed(self, key: str, reason: str) -> None:
         self._evict(key)
-        warnings.warn(
-            f"result cache entry {key!r} is malformed ({reason}); evicted "
-            f"it, so its point runs again", RuntimeWarning, stacklevel=3)
+        _warn_malformed(key, reason)
 
     def _current_entry(self, key: str) -> Optional[dict]:
         """The disk entry under ``key``, or None on a miss.  An entry that

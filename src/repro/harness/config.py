@@ -158,10 +158,10 @@ class ExperimentConfig:
 
         This is the determinism contract for the whole runner: every run of
         every point seeds its random streams from this value alone, so
-        retries and parallel execution are bit-identical to a clean serial
-        run.  Each root seed owns the 1000 run slots ``[seed*1000, (seed+1)
-        *1000)``; ``__post_init__`` rejects ``runs >= 1000`` so distinct
-        root seeds can never collide on a derived seed.
+        parallel execution is bit-identical to a clean serial run.  Each
+        root seed owns the 1000 run slots ``[seed*1000, (seed+1)*1000)``;
+        ``__post_init__`` rejects ``runs >= 1000`` so distinct root seeds
+        can never collide on a derived seed.
         """
         return self.seed * 1000 + run_index
 

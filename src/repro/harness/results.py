@@ -28,19 +28,18 @@ __all__ = ["RunResult", "ExperimentResult", "PointFailure"]
 
 @dataclass
 class PointFailure:
-    """A scenario point that exhausted its execution policy's attempts.
+    """A scenario point that failed under its execution policy.
 
     Sweeps and comparisons collect these under ``on_error="record"`` so the
-    failure (label, axes, traceback, attempt count) survives being dropped
+    failure (label, axes, traceback) survives being dropped
     from the result grids; ``on_error="skip"`` discards failed points
     before any sweep sees them.
     """
 
     label: str
     axes: dict = field(default_factory=dict)
-    #: Worker traceback text from the last attempt.
+    #: Worker traceback text.
     error: str = ""
-    attempts: int = 1
     #: Full point coordinates (``ScenarioPoint.describe()``: the swept axes
     #: plus the config's own coordinates, incl. ``population`` and
     #: ``faults.*``), so a chaos sweep's dead points are attributable
@@ -53,7 +52,7 @@ class PointFailure:
                   if key not in ("label", "kind", "architecture")
                   and key not in self.axes}
         return {"architecture": self.label, **self.axes, **extras,
-                "attempts": self.attempts, "error": last_line}
+                "error": last_line}
 
 
 @dataclass

@@ -16,12 +16,8 @@ module is the single place where that grid is executed:
   (a ``multiprocessing`` pool that takes one point per task).  Every
   simulation seeds its own random streams from the config, so parallel
   execution is bit-identical to serial for the same seeds; outcomes are
-  always returned in submission order.
-  Backends are addressable by *name* through a registry
-  (:func:`register_backend` / :func:`resolve_backend`), which is how future
-  distributed backends (``"ssh"``, ``"slurm"``) plug in without growing any
-  call signature — they must honor the same :class:`ExecutionPolicy`
-  contract in their workers.
+  always returned in submission order.  :func:`resolve_backend` builds
+  either one from its name (``"serial"``, ``"process"``).
 * :func:`run_scenarios` — the one entry point used by
   :func:`~repro.harness.sweep.run_sweep` (behind every sweep, comparison
   and figure), :func:`~repro.core.study.deployment_comparison` and the
@@ -56,7 +52,6 @@ from typing import (
     Protocol,
     Sequence,
     Union,
-    runtime_checkable,
 )
 
 from ..architectures import Testbed, make_architecture
@@ -80,11 +75,7 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "BackendFactory",
-    "register_backend",
-    "unregister_backend",
-    "backend_names",
-    "create_backend",
+    "BACKEND_NAMES",
     "resolve_backend",
     "run_scenarios",
 ]
@@ -101,12 +92,9 @@ class ScenarioError(RuntimeError):
     way: the first failing point in submission order wins.
     """
 
-    def __init__(self, label: str, message: str, attempts: int = 1) -> None:
-        noun = "attempt" if attempts == 1 else "attempts"
-        super().__init__(f"scenario point {label!r} failed "
-                         f"after {attempts} {noun}: {message}")
+    def __init__(self, label: str, message: str) -> None:
+        super().__init__(f"scenario point {label!r} failed: {message}")
         self.label = label
-        self.attempts = attempts
 
 
 class PointTimeout(Exception):
@@ -125,43 +113,30 @@ class ExecutionPolicy:
     boundary, so :class:`SerialBackend` and :class:`ProcessPoolBackend`
     enforce it identically:
 
-    * ``timeout_s`` — wall-clock budget for one attempt.  A point that
+    * ``timeout_s`` — wall-clock budget for one point.  A point that
       exceeds it is interrupted with :class:`PointTimeout` (via
       ``SIGALRM``; enforcement is skipped when the platform has no alarm
-      signal or the attempt runs outside the process's main thread).
-    * ``retries`` — extra attempts after the first failure or timeout.
-      Every attempt calls :func:`execute_point` afresh, and every
-      simulation derives all of its randomness from the point's config, so
-      a retried point is bit-identical to one that succeeded first try.
-    * ``backoff_s`` — linear backoff: attempt *n* (1-based) waits
-      ``backoff_s * n`` seconds before retrying.
-    * ``on_error`` — what :func:`run_scenarios` does with a point whose
-      attempts are exhausted: ``"raise"`` (the default, and the historical
-      behavior) raises :class:`ScenarioError`, ``"skip"`` drops the point
-      from the outcomes (submission order of the survivors is preserved),
+      signal or the point runs outside the process's main thread).
+    * ``on_error`` — what :func:`run_scenarios` does with a point that
+      failed: ``"raise"`` (the default, and the historical behavior)
+      raises :class:`ScenarioError`, ``"skip"`` drops the point from the
+      outcomes (submission order of the survivors is preserved),
       ``"record"`` returns a failed :class:`PointOutcome` (``result is
       None``, ``error`` holds the worker traceback).
+
+    A failed point is not run again: every simulation derives all of its
+    randomness from the point's config, so it would fail the same way.
     """
 
     timeout_s: Optional[float] = None
-    retries: int = 0
-    backoff_s: float = 0.0
     on_error: str = "raise"
 
     def __post_init__(self) -> None:
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive (or None)")
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
-        if self.backoff_s < 0:
-            raise ValueError("backoff_s must be >= 0")
         if self.on_error not in ON_ERROR_MODES:
             raise ValueError(f"unknown on_error mode {self.on_error!r}; "
                              f"expected one of {ON_ERROR_MODES}")
-
-    @property
-    def max_attempts(self) -> int:
-        return self.retries + 1
 
 
 @dataclass
@@ -205,9 +180,9 @@ class ScenarioPoint:
 class PointOutcome:
     """A scenario point paired with whatever it produced.
 
-    Under ``ExecutionPolicy(on_error="record")`` a point whose attempts are
-    exhausted still yields an outcome: ``result`` is ``None`` and ``error``
-    holds the worker's traceback text.  Check :attr:`ok` before touching
+    Under ``ExecutionPolicy(on_error="record")`` a point that failed still
+    yields an outcome: ``result`` is ``None`` and ``error`` holds the
+    worker's traceback text.  Check :attr:`ok` before touching
     ``result`` when a policy is in play.
     """
 
@@ -217,10 +192,8 @@ class PointOutcome:
     result: Any
     #: True when the result came from a ResultCache instead of a simulation.
     cached: bool = False
-    #: Worker traceback text when the point exhausted its attempts.
+    #: Worker traceback text when the point failed.
     error: Optional[str] = None
-    #: How many attempts the point took (1 on first-try success or cache hit).
-    attempts: int = 1
 
     @property
     def ok(self) -> bool:
@@ -438,14 +411,14 @@ def execute_point(point: ScenarioPoint) -> Any:
 
 def _call_with_timeout(point: ScenarioPoint,
                        timeout_s: Optional[float]) -> Any:
-    """Run one attempt, interrupted by SIGALRM once ``timeout_s`` elapses.
+    """Run one point, interrupted by SIGALRM once ``timeout_s`` elapses.
 
     Alarm-based enforcement needs the process's main thread and a platform
     with ``SIGALRM`` (pool workers and the serial backend both qualify on
-    POSIX); anywhere else the attempt runs unbounded rather than crashing.
+    POSIX); anywhere else the point runs unbounded rather than crashing.
 
     A pre-existing ``ITIMER_REAL`` (an outer timeout wrapping the whole
-    sweep, say) is suspended for the attempt and re-armed with its
+    sweep, say) is suspended for the point and re-armed with its
     remaining time on the way out, so nested timeouts compose instead of
     the inner one silently disarming the outer.
     """
@@ -457,7 +430,7 @@ def _call_with_timeout(point: ScenarioPoint,
 
     def _on_alarm(signum, frame):
         # The alarm can fire in the gap between execute_point returning and
-        # the timer being cleared below; a completed attempt must not be
+        # the timer being cleared below; a completed point must not be
         # reclassified as a timeout.
         if running:
             raise PointTimeout(
@@ -486,52 +459,43 @@ def _call_with_timeout(point: ScenarioPoint,
 
 
 def _attempt_point(point: ScenarioPoint,
-                   policy: Optional[ExecutionPolicy]
-                   ) -> tuple[bool, Any, int]:
-    """Run a point under a policy: (ok, result-or-traceback, attempts)."""
-    max_attempts = policy.max_attempts if policy is not None else 1
+                   policy: Optional[ExecutionPolicy]) -> tuple[bool, Any]:
+    """Run a point under a policy: (ok, result-or-traceback)."""
     timeout_s = policy.timeout_s if policy is not None else None
-    last_failure = ""
-    for attempt in range(1, max_attempts + 1):
-        if attempt > 1 and policy is not None and policy.backoff_s:
-            time.sleep(policy.backoff_s * (attempt - 1))
-        try:
-            return True, _call_with_timeout(point, timeout_s), attempt
-        except Exception:  # noqa: BLE001 - reported to the parent
-            last_failure = traceback.format_exc()
-    return False, last_failure, max_attempts
+    try:
+        return True, _call_with_timeout(point, timeout_s)
+    except Exception:  # noqa: BLE001 - reported to the parent
+        return False, traceback.format_exc()
 
 
 def _execute_indexed(
         item: tuple[int, ScenarioPoint, Optional[ExecutionPolicy]]
-        ) -> tuple[int, bool, Any, int]:
+        ) -> tuple[int, bool, Any]:
     """Pool worker: never lets an exception escape (it would lose ordering);
-    failures travel back as (index, False, traceback-text, attempts) and are
-    handled by the parent in submission order per the policy's on_error."""
+    failures travel back as (index, False, traceback-text) and are handled
+    by the parent in submission order per the policy's on_error."""
     index, point, policy = item
-    ok, value, attempts = _attempt_point(point, policy)
-    return index, ok, value, attempts
+    return (index, *_attempt_point(point, policy))
 
 
 # ---------------------------------------------------------------------------
 # Backends
 # ---------------------------------------------------------------------------
 
-#: Per-completed-point callback: (index-into-submitted-points, ok, value,
-#: attempts), invoked in *completion* order in the parent process.
-ResultCallback = Callable[[int, bool, Any, int], None]
+#: Per-completed-point callback: (index-into-submitted-points, ok, value),
+#: invoked in *completion* order in the parent process.
+ResultCallback = Callable[[int, bool, Any], None]
 
 
-@runtime_checkable
 class ExecutionBackend(Protocol):
     """How a list of scenario points gets executed.
 
-    ``run`` returns one ``(ok, value, attempts)`` triple per point, *in
-    point order*; ``value`` is the point's result when ``ok`` is true and
-    the worker's traceback text otherwise.  Implementations must preserve
-    ordering — the reassembly code in sweeps and figures depends on it.
-    ``policy`` (an :class:`ExecutionPolicy`) governs per-point timeout and
-    retries inside the worker.
+    ``run`` returns one ``(ok, value)`` pair per point, *in point order*;
+    ``value`` is the point's result when ``ok`` is true and the worker's
+    traceback text otherwise.  Implementations must preserve ordering —
+    the reassembly code in sweeps and figures depends on it.  ``policy``
+    (an :class:`ExecutionPolicy`) governs the per-point timeout inside the
+    worker.
 
     ``progress`` timing is backend-defined: the serial backend calls it just
     before each point starts (submission order); the process pool calls it
@@ -546,7 +510,7 @@ class ExecutionBackend(Protocol):
             progress: Optional[Callable[[ScenarioPoint], None]] = None, *,
             policy: Optional[ExecutionPolicy] = None,
             on_result: Optional[ResultCallback] = None
-            ) -> list[tuple[bool, Any, int]]:
+            ) -> list[tuple[bool, Any]]:
         ...  # pragma: no cover - protocol
 
 
@@ -557,15 +521,15 @@ class SerialBackend:
             progress: Optional[Callable[[ScenarioPoint], None]] = None, *,
             policy: Optional[ExecutionPolicy] = None,
             on_result: Optional[ResultCallback] = None
-            ) -> list[tuple[bool, Any, int]]:
-        outcomes: list[tuple[bool, Any, int]] = []
+            ) -> list[tuple[bool, Any]]:
+        outcomes: list[tuple[bool, Any]] = []
         for index, point in enumerate(points):
             if progress is not None:
                 progress(point)
-            ok, value, attempts = _attempt_point(point, policy)
-            outcomes.append((ok, value, attempts))
+            ok, value = _attempt_point(point, policy)
+            outcomes.append((ok, value))
             if on_result is not None:
-                on_result(index, ok, value, attempts)
+                on_result(index, ok, value)
         return outcomes
 
 
@@ -601,7 +565,7 @@ class ProcessPoolBackend:
             progress: Optional[Callable[[ScenarioPoint], None]] = None, *,
             policy: Optional[ExecutionPolicy] = None,
             on_result: Optional[ResultCallback] = None
-            ) -> list[tuple[bool, Any, int]]:
+            ) -> list[tuple[bool, Any]]:
         if not points:
             return []
         if self.jobs <= 1 or len(points) == 1:
@@ -609,95 +573,40 @@ class ProcessPoolBackend:
                                        on_result=on_result)
         context = (multiprocessing.get_context(self.start_method)
                    if self.start_method else multiprocessing.get_context())
-        slots: list[Optional[tuple[bool, Any, int]]] = [None] * len(points)
+        slots: list[Optional[tuple[bool, Any]]] = [None] * len(points)
         with context.Pool(processes=min(self.jobs, len(points))) as pool:
             # Submission order, not cost order: costliest-first delays
             # every cheap point, cheapest-first lengthens the pass.
             indexed = [(index, point, policy)
                        for index, point in enumerate(points)]
-            for index, ok, value, attempts in pool.imap_unordered(
+            for index, ok, value in pool.imap_unordered(
                     _execute_indexed, indexed):
-                slots[index] = (ok, value, attempts)
+                slots[index] = (ok, value)
                 # Persist before the user callback: a progress hook that
                 # raises (or a Ctrl-C landing there) must not lose results.
                 if on_result is not None:
-                    on_result(index, ok, value, attempts)
+                    on_result(index, ok, value)
                 if progress is not None:
                     progress(points[index])
         return [slot for slot in slots if slot is not None]
 
 
-# ---------------------------------------------------------------------------
-# Named-backend registry
-# ---------------------------------------------------------------------------
-
-#: A backend factory takes ``jobs`` (worker count or None) and returns a
-#: ready :class:`ExecutionBackend`.
-BackendFactory = Callable[..., ExecutionBackend]
-
-_BACKEND_REGISTRY: dict[str, BackendFactory] = {}
-
-
-def register_backend(name: str, factory: BackendFactory, *,
-                     overwrite: bool = False) -> None:
-    """Register a backend factory under a name usable everywhere a backend
-    is accepted (``Session(backend="process")``, ``--backend process``,
-    :func:`resolve_backend`).
-
-    ``factory`` is called as ``factory(jobs=N_or_None)`` and must return an
-    object satisfying the :class:`ExecutionBackend` protocol *and* the
-    :class:`ExecutionPolicy` contract (per-point timeout/retry enforced in
-    its workers, outcomes in submission order) — that contract, not the
-    transport, is what makes a backend a drop-in registry entry; future
-    distributed backends (``"ssh"``, ``"slurm"``) register here instead of
-    adding kwargs to every entry point.  Re-registering an existing name
-    raises unless ``overwrite=True``.
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError("backend name must be a non-empty string")
-    if name in _BACKEND_REGISTRY and not overwrite:
-        raise ValueError(f"backend {name!r} is already registered; pass "
-                         f"overwrite=True to replace it")
-    _BACKEND_REGISTRY[name] = factory
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a registered backend name (unknown names are a no-op)."""
-    _BACKEND_REGISTRY.pop(name, None)
-
-
-def backend_names() -> tuple[str, ...]:
-    """The registered backend names, sorted."""
-    return tuple(sorted(_BACKEND_REGISTRY))
-
-
-def create_backend(name: str, *, jobs: Optional[int] = None
-                   ) -> ExecutionBackend:
-    """Build a backend from its registered name."""
-    try:
-        factory = _BACKEND_REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r}; registered backends: "
-            f"{', '.join(backend_names())}") from None
-    backend = factory(jobs=jobs)
-    if not isinstance(backend, ExecutionBackend):
-        raise TypeError(f"backend factory {name!r} returned "
-                        f"{type(backend).__name__}, which does not "
-                        f"implement the ExecutionBackend protocol")
-    return backend
-
-
-register_backend("serial", lambda jobs=None: SerialBackend())
-register_backend("process", lambda jobs=None: ProcessPoolBackend(jobs))
+#: The backend names :func:`resolve_backend` builds.
+BACKEND_NAMES = ("serial", "process")
 
 
 def resolve_backend(backend: Union[ExecutionBackend, str, None] = None,
                     jobs: Optional[int] = None) -> ExecutionBackend:
-    """Pick a backend: an explicit instance wins, a registry name is built
-    with ``jobs``, then ``jobs > 1`` => process pool, else serial."""
+    """Pick a backend: an explicit instance wins, a name in
+    :data:`BACKEND_NAMES` is built with ``jobs``, then ``jobs > 1`` =>
+    process pool, else serial."""
+    if backend == "serial":
+        return SerialBackend()
+    if backend == "process":
+        return ProcessPoolBackend(jobs)
     if isinstance(backend, str):
-        return create_backend(backend, jobs=jobs)
+        raise ValueError(f"unknown backend {backend!r}; backends: "
+                         f"{', '.join(BACKEND_NAMES)}")
     if backend is not None:
         return backend
     if jobs is not None and jobs > 1:
@@ -728,8 +637,8 @@ def run_scenarios(scenarios: Iterable[ScenarioPoint], *,
     are persisted *as they complete* (not just at the end), so a sweep
     killed midway can be resumed from the points on disk.
 
-    The session's policy (an :class:`ExecutionPolicy`) adds per-point
-    timeout and retries, and chooses what exhausted points become: with
+    The session's policy (an :class:`ExecutionPolicy`) adds a per-point
+    timeout, and chooses what failed points become: with
     ``on_error="raise"`` (the default, and the behavior without a policy)
     the first failure in submission order raises :class:`ScenarioError`
     regardless of backend; ``"skip"`` drops failed points, keeping the
@@ -765,8 +674,7 @@ def run_scenarios(scenarios: Iterable[ScenarioPoint], *,
     if pending:
         pending_points = [point for _, point in pending]
 
-        def persist(local_index: int, ok: bool, value: Any,
-                    attempts: int) -> None:
+        def persist(local_index: int, ok: bool, value: Any) -> None:
             point = pending_points[local_index]
             if ok and point.kind == "experiment":
                 cache.store(point, value)
@@ -777,17 +685,15 @@ def run_scenarios(scenarios: Iterable[ScenarioPoint], *,
         # Every completed result is already persisted (incrementally, via
         # the on_result callback), so one crashed point does not discard
         # the rest of a long sweep's work even under on_error="raise".
-        for (index, point), (ok, value, attempts) in zip(pending, executed):
+        for (index, point), (ok, value) in zip(pending, executed):
             if not ok:
                 if on_error == "record":
-                    outcomes[index] = PointOutcome(
-                        point=point, result=None, error=value,
-                        attempts=attempts)
+                    outcomes[index] = PointOutcome(point=point, result=None,
+                                                   error=value)
                 elif on_error == "raise" and failure is None:
-                    failure = ScenarioError(point.label, value, attempts)
+                    failure = ScenarioError(point.label, value)
                 continue
-            outcomes[index] = PointOutcome(point=point, result=value,
-                                           attempts=attempts)
+            outcomes[index] = PointOutcome(point=point, result=value)
     cache.save()
     if failure is not None:
         raise failure

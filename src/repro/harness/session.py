@@ -8,15 +8,14 @@ takes ``session=`` and nothing else::
     from repro.harness import Session
 
     with Session(backend="process", jobs=8, cache="out/cache",
-                 policy=ExecutionPolicy(retries=2)) as session:
+                 policy=ExecutionPolicy(timeout_s=600,
+                                        on_error="record")) as session:
         outcomes = session.run(scenarios)
         sweep = run_sweep(base, {"architecture": archs,
                                  "consumers": [1, 2, 4]}, session=session)
 
-Backends are addressed by *registry name* (``"serial"``, ``"process"``;
-see :func:`~repro.harness.runner.register_backend`), so a future
-distributed backend is one ``register_backend("slurm", factory)`` call
-away from every sweep, figure and CLI subcommand — no new kwargs.
+The backend is named (``"serial"``, ``"process"``) or passed as an
+:class:`~repro.harness.runner.ExecutionBackend` instance.
 
 :meth:`Session.from_env` builds the same object from ``REPRO_*``
 environment variables and :meth:`Session.from_args` from a parsed CLI
@@ -27,13 +26,11 @@ the same way:
 =====================  ====================================================
 Environment variable   Session field
 =====================  ====================================================
-``REPRO_BACKEND``      ``backend`` (registry name)
+``REPRO_BACKEND``      ``backend`` (serial|process)
 ``REPRO_JOBS``         ``jobs`` (worker count, >= 1)
 ``REPRO_CACHE``        ``cache`` (sharded result-cache directory)
 ``REPRO_ALLOW_STALE``  ``allow_stale`` (1/true/yes/on)
 ``REPRO_TIMEOUT``      ``policy.timeout_s`` (seconds)
-``REPRO_RETRIES``      ``policy.retries``
-``REPRO_BACKOFF``      ``policy.backoff_s`` (seconds)
 ``REPRO_ON_ERROR``     ``policy.on_error`` (raise|skip|record)
 =====================  ====================================================
 
@@ -75,13 +72,12 @@ class Session:
     Parameters
     ----------
     backend:
-        A registry name (``"serial"``, ``"process"``, or any name added
-        via :func:`~repro.harness.runner.register_backend`), an
+        A backend name (``"serial"`` or ``"process"``), an
         :class:`~repro.harness.runner.ExecutionBackend` instance, or
         ``None`` to pick serial/process from ``jobs``.
     jobs:
-        Worker count handed to the backend factory (``>= 1``); with no
-        explicit backend, ``jobs > 1`` selects the process pool.
+        Worker count of the process pool (``>= 1``); with no explicit
+        backend, ``jobs > 1`` selects the process pool.
     cache:
         A sharded :class:`~repro.harness.cache.ResultCache`, or a path that
         one is opened at (honoring ``allow_stale``), or ``None`` to keep
@@ -119,7 +115,7 @@ class Session:
             raise TypeError(f"policy must be an ExecutionPolicy, got "
                             f"{type(policy).__name__}")
         self.jobs = jobs
-        #: The registry name the backend was built from (None for explicit
+        #: The name the backend was built from (None for explicit
         #: instances) — kept for reporting and repr, not dispatch.
         self.backend_name = backend if isinstance(backend, str) else None
         self.backend = resolve_backend(backend, jobs)
@@ -180,10 +176,6 @@ class Session:
             settings["allow_stale"] = stale.lower() in _TRUTHY
         if (timeout := number("TIMEOUT", float)) is not None:
             settings["timeout_s"] = timeout
-        if (retries := number("RETRIES", int)) is not None:
-            settings["retries"] = retries
-        if (backoff := number("BACKOFF", float)) is not None:
-            settings["backoff_s"] = backoff
         if (on_error := text("ON_ERROR")) is not None:
             if on_error not in ON_ERROR_MODES:
                 raise ValueError(f"{ENV_PREFIX}ON_ERROR={on_error!r}; "
@@ -195,14 +187,10 @@ class Session:
     def _from_settings(cls, settings: dict) -> "Session":
         """Build a session from flat settings (policy fields inline)."""
         timeout_s = settings.pop("timeout_s", None)
-        retries = settings.pop("retries", 0)
-        backoff_s = settings.pop("backoff_s", 0.0)
         on_error = settings.pop("on_error", "raise")
         policy = settings.pop("policy", None)
-        if policy is None and (timeout_s is not None or retries
-                               or backoff_s or on_error != "raise"):
-            policy = ExecutionPolicy(timeout_s=timeout_s, retries=retries,
-                                     backoff_s=backoff_s, on_error=on_error)
+        if policy is None and (timeout_s is not None or on_error != "raise"):
+            policy = ExecutionPolicy(timeout_s=timeout_s, on_error=on_error)
         return cls(policy=policy, **settings)
 
     @classmethod
@@ -228,9 +216,9 @@ class Session:
         environ = os.environ if environ is None else environ
         settings = cls._read_env(environ)
         # None means "not given on the command line" for every option
-        # (including --retries and --on-error, whose parser defaults are
-        # None sentinels), so an explicit `--retries 0` / `--on-error
-        # raise` overrides the environment instead of silently losing.
+        # (including --on-error, whose parser default is a None sentinel),
+        # so an explicit `--on-error raise` overrides the environment
+        # instead of silently losing.
         if (jobs := getattr(args, "jobs", None)) is not None:
             settings["jobs"] = jobs
         if (backend := getattr(args, "backend", None)) is not None:
@@ -241,8 +229,6 @@ class Session:
             settings["allow_stale"] = True
         if (timeout := getattr(args, "timeout", None)) is not None:
             settings["timeout_s"] = timeout
-        if (retries := getattr(args, "retries", None)) is not None:
-            settings["retries"] = retries
         if (on_error := getattr(args, "on_error", None)) is not None:
             settings["on_error"] = on_error
         return cls._from_settings(settings)

@@ -211,6 +211,5 @@ def run_sweep(base: ExperimentConfig, axes: dict, *,
         else:
             sweep.failures.append(PointFailure(
                 label=point.label, axes=dict(point.axes),
-                error=outcome.error or "", attempts=outcome.attempts,
-                coordinates=point.describe()))
+                error=outcome.error or "", coordinates=point.describe()))
     return sweep

@@ -2,8 +2,8 @@
 
 ``repro.simkit`` provides the generator-based simulation kernel on top of
 which the whole cross-facility streaming reproduction is built: simulated
-time, processes, shared resources, object stores, deterministic random
-streams and measurement monitors.
+time, processes, a first-of wait, FIFO resources, hop servers, mailboxes,
+deterministic random streams and counters.
 
 Quick example::
 
@@ -19,39 +19,24 @@ Quick example::
     env.run(until=3.5)
 """
 
-from .core import AllOf, AnyOf, Condition, Environment, Event, Process, Timeout
-from .errors import Interrupt, ResourceError, SchedulingError, SimkitError
-from .monitor import Counter, Monitor, TimeSeries
+from .core import AnyOf, Environment, Event, Process, Timeout
+from .errors import SchedulingError, SimkitError
+from .monitor import Counter, Monitor
 from .rand import BatchedUniform, RandomStreams, derive_seed
-from .resources import (
-    Container,
-    FilterStore,
-    HandoffServer,
-    PriorityResource,
-    Resource,
-    Store,
-)
+from .resources import HandoffServer, Resource, Store
 
 __all__ = [
     "Environment",
     "Event",
     "Process",
     "Timeout",
-    "Condition",
-    "AllOf",
     "AnyOf",
-    "Interrupt",
     "SimkitError",
     "SchedulingError",
-    "ResourceError",
     "Resource",
-    "PriorityResource",
     "HandoffServer",
-    "Container",
     "Store",
-    "FilterStore",
     "Counter",
-    "TimeSeries",
     "Monitor",
     "RandomStreams",
     "BatchedUniform",

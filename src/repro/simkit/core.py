@@ -19,8 +19,8 @@ Design notes
 * A :class:`Process` is itself an event that succeeds with the generator's
   return value (or fails with the exception that escaped it), so processes
   can wait for each other simply by yielding the other process.
-* ``AnyOf`` / ``AllOf`` condition events support the common "wait for
-  whichever happens first" and "barrier" idioms.
+* :class:`AnyOf` supports the "wait for whichever happens first" idiom
+  (an experiment runs until it completes or hits its deadline).
 
 Hot-path layout
 ---------------
@@ -30,18 +30,17 @@ is aggressively specialised:
 * **Single-callback slot** — most events ever have exactly one waiter (the
   process that yielded them), so :class:`Event` stores the first callback in
   a scalar ``_callback`` slot and only lazily upgrades to a ``_callbacks``
-  list when a second waiter registers.  The legacy ``callbacks`` property
-  materialises the list view for cold-path introspection.
+  list when a second waiter registers.
 * **Zero-delay FIFO lanes** — ``succeed()``/``fail()`` and zero timeouts
   schedule *at the current instant*, so they bypass the time heap entirely
-  and go onto plain per-priority deques.  :meth:`Environment.step` merges
+  and go onto plain per-priority deques.  :meth:`Environment.run` merges
   the heap and the lanes by the exact ``(time, priority, eid)`` key, so
   event ordering is bit-identical to an all-heap schedule.
 * **Timeout freelist** — processed value-less timeouts are recycled by
-  :meth:`Environment.step` and reused by :meth:`Environment.timeout`
+  :meth:`Environment.run` and reused by :meth:`Environment.timeout`
   instead of being reallocated.  A yielded timeout must therefore not be
-  re-inspected after it has been processed; timeouts watched by a
-  :class:`Condition`, carrying a value, or passed to ``run(until=...)`` are
+  re-inspected after it has been processed; timeouts watched by an
+  :class:`AnyOf`, carrying a value, or passed to ``run(until=...)`` are
   pinned and never recycled.
 * **Plain-int event counter** — the scheduling tiebreaker is a plain
   integer incremented inline rather than ``itertools.count``.
@@ -54,15 +53,13 @@ from collections.abc import Callable, Generator, Iterable
 from heapq import heappop, heappush
 from typing import Any, Optional
 
-from .errors import Interrupt, SchedulingError, SimkitError, StopSimulation
+from .errors import SchedulingError, StopSimulation
 
 __all__ = [
     "Environment",
     "Event",
     "Timeout",
     "Process",
-    "Condition",
-    "AllOf",
     "AnyOf",
     "PENDING",
 ]
@@ -94,7 +91,7 @@ class _ProcessedType:
 _PROCESSED = _ProcessedType()
 
 #: Priority used for ordering simultaneous events: urgent events (process
-#: resumption bookkeeping) run before normal ones.
+#: starts, the stop of ``run(until=time)``) run before normal ones.
 URGENT = 0
 NORMAL = 1
 
@@ -124,22 +121,6 @@ class Event:
         self._defused = False
 
     # -- callback management ----------------------------------------------
-    @property
-    def callbacks(self) -> Optional[list[Callable[["Event"], None]]]:
-        """Callbacks run when the event is processed; ``None`` once processed.
-
-        Accessing this upgrades the single-callback fast path to a real
-        list, so it is for cold-path/introspection use only — hot code goes
-        through :meth:`add_callback` / the internal slots.
-        """
-        cb = self._callback
-        if cb is _PROCESSED:
-            return None
-        if self._callbacks is None:
-            self._callbacks = [] if cb is None else [cb]
-            self._callback = None
-        return self._callbacks
-
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Register ``callback`` to run when this event is processed."""
         cb = self._callback
@@ -154,19 +135,6 @@ class Event:
                 f"cannot add a callback to the processed event {self!r}")
         else:
             self._callbacks = [cb, callback]
-            self._callback = None
-
-    def remove_callback(self, callback: Callable[["Event"], None]) -> None:
-        """Deregister ``callback`` if present (no-op otherwise)."""
-        cb = self._callback
-        if cb is _PROCESSED:
-            return
-        if self._callbacks is not None:
-            try:
-                self._callbacks.remove(callback)
-            except ValueError:
-                pass
-        elif cb == callback:
             self._callback = None
 
     # -- state inspection -------------------------------------------------
@@ -193,14 +161,6 @@ class Event:
         if self._value is PENDING:
             raise AttributeError(f"value of {self!r} is not yet available")
         return self._value
-
-    def defused(self) -> bool:
-        """Whether a failure of this event has been handled by someone."""
-        return self._defused
-
-    def defuse(self) -> None:
-        """Mark the failure as handled so the environment does not re-raise."""
-        self._defused = True
 
     # -- triggering -------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
@@ -229,17 +189,6 @@ class Event:
         env._lane_normal.append((eid, self))
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another (for chaining)."""
-        if event._value is PENDING:
-            raise SchedulingError(
-                f"cannot chain from {event!r}: it has not been triggered")
-        if self._value is not PENDING:
-            raise SchedulingError(f"{self!r} has already been triggered")
-        self._ok = event._ok
-        self._value = event._value
-        self.env._schedule(self, NORMAL)
-
     # -- misc -------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         status = "processed" if self.processed else (
@@ -265,7 +214,7 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         # Only value-less timeouts are eligible for freelist recycling: a
-        # reused timeout's value is overwritten, and conditions / run(until=)
+        # reused timeout's value is overwritten, and AnyOf / run(until=)
         # pin theirs via _pin() below.
         self._reusable = value is None
         eid = env._eid
@@ -304,8 +253,7 @@ class Process(Event):
     (succeeds with the return value) or raises (fails with the exception).
     """
 
-    __slots__ = ("_generator", "_send", "_throw", "_target", "_resume_cb",
-                 "name")
+    __slots__ = ("_send", "_throw", "_resume_cb", "name")
 
     def __init__(self, env: "Environment",
                  generator: Generator[Event, Any, Any],
@@ -313,56 +261,17 @@ class Process(Event):
         if not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(env)
-        self._generator = generator
         self._send = generator.send
         self._throw = generator.throw
-        #: The event this process is currently waiting on.
-        self._target: Optional[Event] = None
         #: The resume callback bound once, not per suspension.
         self._resume_cb = self._resume
         self.name = name or getattr(generator, "__name__", "process")
         Initialize(env, self)
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event the process is currently waiting for (if any)."""
-        return self._target
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return self._value is PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw an :class:`Interrupt` into the process.
-
-        Interrupting a finished process is an error; interrupting a process
-        that is about to be resumed is allowed and the interrupt wins.
-        """
-        if self._value is not PENDING:
-            raise SimkitError("cannot interrupt a terminated process")
-        if self._target is self:
-            raise SimkitError("a process cannot interrupt itself")
-        # Deliver as an urgent event so the interrupt arrives before any
-        # normal event scheduled at the same time.
-        event = Event(self.env)
-        event._ok = False
-        event._value = Interrupt(cause)
-        event._defused = True
-        event._callback = self._resume_cb
-        self.env._schedule(event, URGENT)
-        # Detach from the event we were waiting on so its normal completion
-        # no longer resumes us.
-        target = self._target
-        if target is not None and target._callback is not _PROCESSED:
-            target.remove_callback(self._resume_cb)
-            self._target = None
-
     # -- engine internals --------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Resume the generator with the value (or exception) of ``event``."""
         env = self.env
-        env._active_proc = self
         send = self._send
         while True:
             try:
@@ -400,7 +309,6 @@ class Process(Event):
                 continue
             if cb is not _PROCESSED:
                 # Event not yet processed: register and suspend.
-                self._target = next_event
                 if cb is None and next_event._callbacks is None:
                     next_event._callback = self._resume_cb
                 else:
@@ -409,32 +317,23 @@ class Process(Event):
             # Event already processed: continue immediately with its value.
             event = next_event
 
-        env._active_proc = None
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Process {self.name!r} at 0x{id(self):x}>"
 
 
-class Condition(Event):
-    """An event that triggers when a condition over child events holds."""
+class AnyOf(Event):
+    """Triggers once *any* of the given events has triggered.
 
-    __slots__ = ("_events", "_evaluate", "_count", "_threshold")
+    It succeeds with a dict of the children that had succeeded by then, in
+    order, or fails with the first child failure.  With no children it
+    succeeds at once with an empty dict.
+    """
 
-    def __init__(self, env: "Environment",
-                 evaluate: Callable[[list[Event], int], bool],
-                 events: Iterable[Event]) -> None:
+    __slots__ = ("_events",)
+
+    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
         self._events = list(events)
-        self._evaluate = evaluate
-        self._count = 0
-        # Fast path for the two canonical conditions: a triggered-count
-        # threshold avoids calling out to ``evaluate`` on every child event.
-        if evaluate is Condition.all_events:
-            self._threshold: Optional[int] = len(self._events)
-        elif evaluate is Condition.any_event:
-            self._threshold = 1
-        else:
-            self._threshold = None
 
         # Validate the whole list before attaching any callback so a
         # mixed-environment error leaves no orphaned registrations behind.
@@ -443,14 +342,14 @@ class Condition(Event):
                 raise ValueError("events from different environments")
 
         if not self._events:
-            self.succeed(self._collect_values())
+            self.succeed({})
             return
 
         check = self._check
         for event in self._events:
-            # The condition reads child values at trigger time, which may be
-            # long after the child was processed — keep watched timeouts out
-            # of the recycling freelist.
+            # AnyOf reads child values at trigger time, which may be long
+            # after the child was processed — keep watched timeouts out of
+            # the recycling freelist.
             if isinstance(event, Timeout):
                 event._pin()
             if event._callback is _PROCESSED:
@@ -458,45 +357,15 @@ class Condition(Event):
             else:
                 event.add_callback(check)
 
-    def _collect_values(self) -> dict[Event, Any]:
-        """Values of all triggered (successful) child events, in order."""
-        return {e: e._value for e in self._events
-                if e._value is not PENDING and e._ok}
-
     def _check(self, event: Event) -> None:
         if self._value is not PENDING:
             return
-        self._count += 1
         if not event._ok:
             event._defused = True
             self.fail(event._value)
             return
-        threshold = self._threshold
-        if (self._count >= threshold if threshold is not None
-                else self._evaluate(self._events, self._count)):
-            self.succeed(self._collect_values())
-
-    @staticmethod
-    def all_events(events: list[Event], count: int) -> bool:
-        return len(events) == count
-
-    @staticmethod
-    def any_event(events: list[Event], count: int) -> bool:
-        return count > 0 or not events
-
-
-class AllOf(Condition):
-    """Triggers once *all* of the given events have triggered."""
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Triggers once *any* of the given events has triggered."""
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.any_event, events)
+        self.succeed({e: e._value for e in self._events
+                      if e._value is not PENDING and e._ok})
 
 
 class Environment:
@@ -509,7 +378,7 @@ class Environment:
     """
 
     __slots__ = ("_now", "_queue", "_lane_urgent", "_lane_normal", "_eid",
-                 "_active_proc", "_timeout_free")
+                 "_timeout_free")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
@@ -520,7 +389,6 @@ class Environment:
         self._lane_urgent: deque[tuple[int, Event]] = deque()
         self._lane_normal: deque[tuple[int, Event]] = deque()
         self._eid = 0
-        self._active_proc: Optional[Process] = None
         #: Recycled value-less Timeout objects (see Environment.timeout).
         self._timeout_free: list[Timeout] = []
 
@@ -529,11 +397,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_proc
 
     # -- event factories ----------------------------------------------------
     def event(self) -> Event:
@@ -572,12 +435,6 @@ class Environment:
         """Start a new process from ``generator``."""
         return Process(self, generator, name=name)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
         eid = self._eid
@@ -588,71 +445,6 @@ class Environment:
             self._lane_normal.append((eid, event))
         else:
             self._lane_urgent.append((eid, event))
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        if self._lane_urgent or self._lane_normal:
-            return self._now
-        return self._queue[0][0] if self._queue else float("inf")
-
-    def step(self) -> None:
-        """Process the next scheduled event.
-
-        Raises :class:`IndexError` if the queue is empty, and re-raises the
-        exception of any failed event that nobody defused (i.e. a crashed
-        process that no other process was waiting on).
-
-        The next event is the smallest ``(time, priority, eid)`` key across
-        the time heap and the two zero-delay lanes; lane entries always
-        carry the current time, so this is a three-way ordered merge.
-        """
-        event = None
-        lane = self._lane_urgent
-        if lane:
-            queue = self._queue
-            if queue:
-                head = queue[0]
-                # The heap wins only with an urgent entry at the current
-                # instant that was scheduled before the lane's head.
-                if (head[1] == URGENT and head[0] == self._now
-                        and head[2] < lane[0][0]):
-                    self._now, _prio, _eid, event = heappop(queue)
-            if event is None:
-                event = lane.popleft()[1]
-        else:
-            lane = self._lane_normal
-            if lane:
-                queue = self._queue
-                if queue:
-                    head = queue[0]
-                    if head[0] == self._now and (head[1] == URGENT
-                                                 or head[2] < lane[0][0]):
-                        self._now, _prio, _eid, event = heappop(queue)
-                if event is None:
-                    event = lane.popleft()[1]
-            else:
-                self._now, _prio, _eid, event = heappop(self._queue)
-
-        callback = event._callback
-        event._callback = _PROCESSED
-        if callback is not None:
-            callback(event)
-        else:
-            callbacks = event._callbacks
-            if callbacks is not None:
-                event._callbacks = None
-                for callback in callbacks:
-                    callback(event)
-
-        if event._ok is False and not event._defused:
-            # An unhandled failure: surface it to the caller of run()/step().
-            exc = event._value
-            raise exc
-
-        if type(event) is Timeout and event._reusable:
-            free = self._timeout_free
-            if len(free) < _TIMEOUT_FREELIST_MAX:
-                free.append(event)
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run the simulation.
@@ -681,10 +473,10 @@ class Environment:
                 stop._callback = _stop_simulation
                 self._schedule(stop, URGENT, at - self._now)
 
-        # The drain loop is step() inlined: one Python call per event is the
-        # single biggest fixed cost of the engine, so the three-way
-        # heap/lane merge and the callback dispatch are repeated here with
-        # the queue structures held in locals.  Keep both copies in sync.
+        # The drain loop: the next event is the smallest ``(time, priority,
+        # eid)`` key across the time heap and the two zero-delay lanes.
+        # Lane entries always carry the current time, so this is a
+        # three-way ordered merge, with the queue structures held in locals.
         queue = self._queue
         lane_urgent = self._lane_urgent
         lane_normal = self._lane_normal
@@ -699,6 +491,8 @@ class Environment:
                 if lane_urgent:
                     if queue:
                         head = queue[0]
+                        # The heap wins only with an urgent entry at the
+                        # current instant scheduled before the lane's head.
                         if (head[1] == URGENT and head[0] == self._now
                                 and head[2] < lane_urgent[0][0]):
                             self._now, _prio, _eid, event = pop(queue)

@@ -1,10 +1,8 @@
 """Exception types used by the :mod:`repro.simkit` discrete-event engine.
 
 The engine deliberately keeps its error taxonomy small: scheduling errors
-(attempting to schedule into the past, running a finished environment),
-process control errors (interrupting a dead process), and the special
-:class:`Interrupt` exception that is thrown *into* a process generator when
-another process interrupts it.
+(a negative delay, triggering an event twice, running until a time in the
+past) and the control-flow exception that ends a run.
 """
 
 from __future__ import annotations
@@ -13,8 +11,6 @@ __all__ = [
     "SimkitError",
     "SchedulingError",
     "StopSimulation",
-    "Interrupt",
-    "ResourceError",
 ]
 
 
@@ -26,7 +22,7 @@ class SchedulingError(SimkitError):
     """Raised when an event is scheduled incorrectly.
 
     Typical causes: a negative delay, triggering an already-triggered event,
-    or resuming an environment whose event queue is corrupted.
+    or adding a callback to an event that has already been processed.
     """
 
 
@@ -40,23 +36,3 @@ class StopSimulation(SimkitError):
     def __init__(self, value: object = None) -> None:
         super().__init__(value)
         self.value = value
-
-
-class Interrupt(SimkitError):
-    """Thrown into a process when :meth:`Process.interrupt` is called.
-
-    The ``cause`` attribute carries the object passed to ``interrupt`` so the
-    interrupted process can decide how to react (e.g. a proxy shutting down a
-    connection vs. a timeout firing).
-    """
-
-    def __init__(self, cause: object = None) -> None:
-        super().__init__(cause)
-
-    @property
-    def cause(self) -> object:
-        return self.args[0]
-
-
-class ResourceError(SimkitError):
-    """Raised for invalid resource operations (e.g. releasing twice)."""

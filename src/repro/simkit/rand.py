@@ -76,10 +76,6 @@ class RandomStreams:
             self._streams[key] = gen
         return gen
 
-    def spawn(self, *names: str | int) -> "RandomStreams":
-        """Create a child factory rooted at a sub-path."""
-        return RandomStreams(derive_seed(self.root_seed, *names))
-
     def uniform(self, low: float, high: float, *names: str | int) -> float:
         return float(self.stream(*names).uniform(low, high))
 

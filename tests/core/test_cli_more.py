@@ -188,11 +188,10 @@ def test_cli_bad_env_value_is_a_clean_error(monkeypatch, capsys):
 
 
 def test_cli_explicit_on_error_raise_overrides_env(monkeypatch, capsys):
-    """--on-error raise / --retries 0 must beat REPRO_ON_ERROR/REPRO_RETRIES
-    even though the values equal the defaults."""
+    """--on-error raise must beat REPRO_ON_ERROR even though the value
+    equals the default."""
     monkeypatch.setenv("REPRO_ON_ERROR", "record")
-    monkeypatch.setenv("REPRO_RETRIES", "3")
     code = main(["experiment", "--architecture", "DTS", "--consumers", "2",
-                 "--messages", "4", "--on-error", "raise", "--retries", "0"])
+                 "--messages", "4", "--on-error", "raise"])
     assert code == 0
     capsys.readouterr()

@@ -193,8 +193,6 @@ def test_output_matches_golden(dumps, name):
 
 
 @pytest.mark.parametrize("name", list(CLI_COMMANDS))
-def test_cli_stdout_matches_golden(capsys, monkeypatch, name):
-    for variable in ("REPRO_JOBS", "REPRO_BACKEND", "REPRO_CACHE"):
-        monkeypatch.delenv(variable, raising=False)
+def test_cli_stdout_matches_golden(capsys, name):
     assert main(CLI_COMMANDS[name]) == 0
     assert _digest(capsys.readouterr().out) == ROWS_GOLDEN[name]

@@ -6,6 +6,7 @@ from __future__ import annotations
 import glob
 import json
 import os
+import warnings
 
 import pytest
 
@@ -113,6 +114,36 @@ def test_unknown_shard_version_still_raises(tmp_path):
         json.dump({"version": 99, "entries": {}}, handle)
     with pytest.raises(ValueError, match="version"):
         ResultCache(path)
+
+
+def test_a_misfiled_entry_is_evicted_not_lost(tmp_path):
+    """An entry read from a shard other than its key's own is evicted with
+    a warning naming it and the file, not kept: a save of that shard would
+    write it nowhere.  It is not moved to a shard of its own either."""
+    path = str(tmp_path / "cache")
+    home, stray = distinct_prefix_points(2)
+    run_scenarios([home, stray], session=Session(cache=ResultCache(path)))
+    home_shard = os.path.join(path, f"{home.cache_key()[:2]}.json")
+    stray_shard = os.path.join(path, f"{stray.cache_key()[:2]}.json")
+    payload = json.load(open(home_shard))
+    payload["entries"].update(json.load(open(stray_shard))["entries"])
+    json.dump(payload, open(home_shard, "w"))
+    os.remove(stray_shard)
+
+    with pytest.warns(RuntimeWarning, match="malformed") as caught:
+        cache = ResultCache(path)
+    [message] = [str(record.message) for record in caught]
+    assert stray.cache_key() in message and home_shard in message
+    assert cache.load(stray) is None
+    cache.store(home, cache.load(home))
+    cache.save()
+
+    assert shard_files(path) == [home_shard]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reopened = ResultCache(path)
+    assert reopened.load(home) is not None
+    assert reopened.load(stray) is None
 
 
 def test_stale_eviction_deletes_emptied_shard(tmp_path):

@@ -5,10 +5,12 @@ from __future__ import annotations
 import glob
 import json
 import os
+import re
 
 import pytest
 
 from repro.architectures import TestbedConfig
+from repro.cli import main
 from repro.core import figure4
 from repro.harness import (
     ExperimentConfig,
@@ -102,6 +104,22 @@ def test_unknown_cache_version_still_raises(tmp_path):
         tmp_path, json.dumps({"version": 99, "entries": {}}))
     with pytest.raises(ValueError, match="version"):
         ResultCache(str(path))
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1"],
+                         ids=["true", "float", "string"])
+def test_a_version_that_is_not_the_integer_1_is_refused(tmp_path, capsys,
+                                                        version):
+    """Only the integer 1 is version 1: ``true`` and ``1.0`` compare equal
+    to it, and a save would write them back as ``1``."""
+    path, _ = _cache_with_shard(
+        tmp_path, json.dumps({"version": version, "entries": {}}))
+    named = re.escape(f"has version {version!r}")
+    with pytest.raises(ValueError, match=named):
+        ResultCache(str(path))
+    assert main(["cache", "stats", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and re.search(named, err)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Crash-injection coverage for ExecutionPolicy (timeout/retry/on_error)."""
+"""Crash-injection coverage for ExecutionPolicy (timeout/on_error)."""
 
 from __future__ import annotations
 
@@ -49,18 +49,13 @@ def result_payload(outcome) -> str:
 def test_policy_validates_fields():
     with pytest.raises(ValueError, match="timeout_s"):
         ExecutionPolicy(timeout_s=0)
-    with pytest.raises(ValueError, match="retries"):
-        ExecutionPolicy(retries=-1)
-    with pytest.raises(ValueError, match="backoff_s"):
-        ExecutionPolicy(backoff_s=-0.1)
     with pytest.raises(ValueError, match="on_error"):
         ExecutionPolicy(on_error="explode")
-    assert ExecutionPolicy(retries=2).max_attempts == 3
 
 
 def test_policy_is_picklable():
     import pickle
-    policy = ExecutionPolicy(timeout_s=5.0, retries=2, on_error="record")
+    policy = ExecutionPolicy(timeout_s=5.0, on_error="record")
     assert pickle.loads(pickle.dumps(policy)) == policy
 
 
@@ -93,22 +88,6 @@ def test_timed_out_point_becomes_structured_failure(monkeypatch):
     assert "exceeded 0.2s" in outcomes[1].error
 
 
-def test_timeout_is_retried_before_failing(monkeypatch):
-    real = execute_point
-
-    def hang_on_marker(point):
-        if point.axes.get("hang"):
-            time.sleep(30)
-        return real(point)
-
-    monkeypatch.setattr(runner_module, "execute_point", hang_on_marker)
-    point = ScenarioPoint(config=tiny_config(), axes={"hang": True})
-    policy = ExecutionPolicy(timeout_s=0.1, retries=1, on_error="record")
-    [outcome] = run_scenarios([point], session=Session(policy=policy))
-    assert not outcome.ok
-    assert outcome.attempts == 2
-
-
 def test_timeout_does_not_leak_into_later_points(monkeypatch):
     real = execute_point
 
@@ -128,44 +107,6 @@ def test_timeout_does_not_leak_into_later_points(monkeypatch):
     # by the previous point's alarm.
     assert [o.point.config.seed for o in outcomes] == [2]
     assert outcomes[0].ok
-
-
-# ---------------------------------------------------------------------------
-# Retry determinism
-# ---------------------------------------------------------------------------
-
-def test_fail_then_succeed_retry_matches_first_try_result(monkeypatch):
-    point = ScenarioPoint(config=tiny_config(
-        pattern="work_sharing_feedback", messages_per_producer=6))
-    [clean] = run_scenarios([point])
-
-    real = execute_point
-    calls = {"count": 0}
-
-    def flaky(p):
-        calls["count"] += 1
-        if calls["count"] == 1:
-            raise RuntimeError("injected transient fault")
-        return real(p)
-
-    monkeypatch.setattr(runner_module, "execute_point", flaky)
-    [retried] = run_scenarios(
-        [point], session=Session(policy=ExecutionPolicy(retries=2)))
-    assert calls["count"] == 2
-    assert retried.attempts == 2
-    # The retry re-derives every random stream from the point's config, so
-    # the result is bit-identical to the run that succeeded first try.
-    assert result_payload(retried) == result_payload(clean)
-
-
-def test_exhausted_retries_raise_with_attempt_count(monkeypatch):
-    def always_fails(point):
-        raise RuntimeError("injected permanent fault")
-
-    monkeypatch.setattr(runner_module, "execute_point", always_fails)
-    with pytest.raises(ScenarioError, match="after 3 attempts"):
-        run_scenarios([ScenarioPoint(config=tiny_config())],
-                      session=Session(policy=ExecutionPolicy(retries=2)))
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +172,12 @@ def test_sweep_records_failures_instead_of_dying(monkeypatch):
     assert len(result.failures) == 2
     rows = [failure.as_row() for failure in result.failures]
     assert rows[0]["architecture"] == "DTS"
-    assert rows[0]["attempts"] == 1
     assert "injected crash" in rows[0]["error"]
 
 
 def test_no_policy_still_raises_like_before(monkeypatch):
     _seed_crasher(monkeypatch, bad_seed=1)
-    with pytest.raises(ScenarioError, match="after 1 attempt"):
+    with pytest.raises(ScenarioError, match="failed: "):
         run_scenarios([ScenarioPoint(config=tiny_config())])
 
 

@@ -1,6 +1,6 @@
-"""Session API: construction, the named-backend registry, env/args
-constructors, lifecycle, and the session as the only way to pass an
-execution context to a sweep entry point."""
+"""Session API: construction, named backends, env/args constructors,
+lifecycle, and the session as the only way to pass an execution context
+to a sweep entry point."""
 
 from __future__ import annotations
 
@@ -22,13 +22,8 @@ from repro.harness import (
     ScenarioSet,
     SerialBackend,
     Session,
-    backend_names,
-    create_backend,
-    register_backend,
-    resolve_backend,
     run_scenarios,
     run_sweep,
-    unregister_backend,
 )
 from repro.harness import runner
 
@@ -53,7 +48,7 @@ def one_point():
 
 
 # ---------------------------------------------------------------------------
-# Construction and the named-backend registry
+# Construction and named backends
 # ---------------------------------------------------------------------------
 
 def test_named_backends_resolve():
@@ -81,7 +76,7 @@ def test_session_validates_jobs_and_policy():
     with pytest.raises(ValueError, match="jobs"):
         Session(jobs=0)
     with pytest.raises(TypeError, match="ExecutionPolicy"):
-        Session(policy={"retries": 2})
+        Session(policy={"timeout_s": 2})
     with pytest.raises(ValueError, match="memory-only"):
         Session(cache=ResultCache())
 
@@ -98,42 +93,10 @@ def test_serial_backend_with_multiple_jobs_warns():
 
 
 def test_unknown_backend_name_lists_registry():
-    with pytest.raises(ValueError, match="unknown backend 'warp'"):
+    with pytest.raises(ValueError,
+                       match="unknown backend 'warp'; backends: serial, "
+                             "process"):
         Session(backend="warp")
-
-
-def test_registry_round_trip_and_overwrite_guard():
-    assert {"serial", "process"} <= set(backend_names())
-    assert isinstance(resolve_backend("process"), ProcessPoolBackend)
-
-    class RecordingBackend(SerialBackend):
-        def __init__(self, jobs=None):
-            self.jobs = jobs
-
-    try:
-        register_backend("recording", lambda jobs=None: RecordingBackend(jobs))
-        assert "recording" in backend_names()
-        built = create_backend("recording", jobs=5)
-        assert isinstance(built, RecordingBackend) and built.jobs == 5
-        assert isinstance(Session(backend="recording").backend,
-                          RecordingBackend)
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("recording", lambda jobs=None: RecordingBackend())
-        register_backend("recording", lambda jobs=None: RecordingBackend(9),
-                         overwrite=True)
-        assert create_backend("recording").jobs == 9
-    finally:
-        unregister_backend("recording")
-    assert "recording" not in backend_names()
-
-
-def test_factory_must_return_an_execution_backend():
-    try:
-        register_backend("broken", lambda jobs=None: object())
-        with pytest.raises(TypeError, match="ExecutionBackend"):
-            create_backend("broken")
-    finally:
-        unregister_backend("broken")
 
 
 def test_cache_path_is_opened_with_allow_stale(tmp_path):
@@ -147,7 +110,7 @@ def test_cache_path_is_opened_with_allow_stale(tmp_path):
 
 def test_session_is_picklable():
     session = Session(backend="process", jobs=2,
-                      policy=ExecutionPolicy(retries=1, on_error="record"))
+                      policy=ExecutionPolicy(timeout_s=5.0, on_error="record"))
     clone = pickle.loads(pickle.dumps(session))
     assert isinstance(clone.backend, ProcessPoolBackend)
     assert clone.policy == session.policy
@@ -289,10 +252,10 @@ def test_a_failed_point_is_never_kept(monkeypatch):
 
 def test_describe_is_flat_and_json_safe(tmp_path):
     session = Session(backend="process", jobs=2, cache=tmp_path / "c",
-                      policy=ExecutionPolicy(retries=1))
+                      policy=ExecutionPolicy(timeout_s=5.0))
     info = session.describe()
     assert info["backend"] == "process" and info["jobs"] == 2
-    assert info["policy"]["retries"] == 1
+    assert info["policy"]["timeout_s"] == 5.0
     json.dumps(info)  # flat dict, no live objects
 
 
@@ -307,15 +270,12 @@ def test_from_env_reads_every_variable(tmp_path):
         "REPRO_CACHE": str(tmp_path / "cache"),
         "REPRO_ALLOW_STALE": "yes",
         "REPRO_TIMEOUT": "5.5",
-        "REPRO_RETRIES": "3",
-        "REPRO_BACKOFF": "0.25",
         "REPRO_ON_ERROR": "record",
     })
     assert isinstance(session.backend, ProcessPoolBackend)
     assert session.jobs == 2
     assert session.cache.allow_stale
-    assert session.policy == ExecutionPolicy(timeout_s=5.5, retries=3,
-                                             backoff_s=0.25,
+    assert session.policy == ExecutionPolicy(timeout_s=5.5,
                                              on_error="record")
 
 
@@ -335,8 +295,7 @@ def test_from_env_rejects_bad_values():
 def test_from_args_overlays_cli_on_env(tmp_path):
     # None = "not given on the command line" (the parser's sentinels).
     args = argparse.Namespace(jobs=4, backend=None, cache=None,
-                              allow_stale=False, timeout=None, retries=None,
-                              on_error=None)
+                              allow_stale=False, timeout=None, on_error=None)
     session = Session.from_args(args, environ={
         "REPRO_JOBS": "2",
         "REPRO_CACHE": str(tmp_path / "env-cache"),
@@ -349,13 +308,12 @@ def test_from_args_overlays_cli_on_env(tmp_path):
 
 
 def test_from_args_explicit_defaults_still_override_env():
-    """`--retries 0 --on-error raise` must beat REPRO_RETRIES/REPRO_ON_ERROR
-    even though the values equal the library defaults."""
+    """`--on-error raise` must beat REPRO_ON_ERROR even though the value
+    equals the library default."""
     args = argparse.Namespace(jobs=None, backend=None, cache=None,
-                              allow_stale=False, timeout=None, retries=0,
+                              allow_stale=False, timeout=None,
                               on_error="raise")
-    session = Session.from_args(args, environ={"REPRO_RETRIES": "3",
-                                               "REPRO_ON_ERROR": "record"})
+    session = Session.from_args(args, environ={"REPRO_ON_ERROR": "record"})
     assert session.policy is None  # fail-fast, exactly as asked
 
 

@@ -1,17 +1,10 @@
-"""Unit tests for the simkit event loop, processes and condition events."""
+"""Unit tests for the simkit event loop, processes and the AnyOf event."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.simkit import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Interrupt,
-    SchedulingError,
-)
-from repro.simkit.core import Event
+from repro.simkit import AnyOf, Environment, SchedulingError
 
 
 def test_environment_starts_at_zero():
@@ -155,52 +148,6 @@ def test_unhandled_process_exception_surfaces_from_run():
         env.run()
 
 
-def test_interrupt_delivers_cause():
-    env = Environment()
-    causes = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as interrupt:
-            causes.append(interrupt.cause)
-
-    def interrupter(env, victim):
-        yield env.timeout(1.0)
-        victim.interrupt("wake up")
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert causes == ["wake up"]
-
-
-def test_interrupting_finished_process_is_an_error():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(0.1)
-
-    proc = env.process(quick(env))
-    env.run()
-    with pytest.raises(Exception):
-        proc.interrupt()
-
-
-def test_allof_waits_for_all():
-    env = Environment()
-    done = []
-
-    def waiter(env, events):
-        yield AllOf(env, events)
-        done.append(env.now)
-
-    events = [env.timeout(1.0), env.timeout(3.0), env.timeout(2.0)]
-    env.process(waiter(env, events))
-    env.run()
-    assert done == [3.0]
-
-
 def test_anyof_fires_on_first():
     env = Environment()
     done = []
@@ -213,21 +160,6 @@ def test_anyof_fires_on_first():
     env.process(waiter(env, events))
     env.run()
     assert done == [2.0]
-
-
-def test_all_of_env_helper_returns_values():
-    env = Environment()
-    collected = {}
-
-    def waiter(env):
-        t1 = env.timeout(1.0, value="a")
-        t2 = env.timeout(2.0, value="b")
-        result = yield env.all_of([t1, t2])
-        collected.update({"values": list(result.values())})
-
-    env.process(waiter(env))
-    env.run()
-    assert collected["values"] == ["a", "b"]
 
 
 def test_yield_none_is_zero_delay():
@@ -271,18 +203,6 @@ def test_simultaneous_events_preserve_fifo_order():
     assert order == list(range(5))
 
 
-def test_peek_reports_next_event_time():
-    env = Environment()
-    env.timeout(4.0)
-    env.timeout(2.0)
-    assert env.peek() == 2.0
-
-
-def test_peek_empty_is_inf():
-    env = Environment()
-    assert env.peek() == float("inf")
-
-
 def test_run_until_already_processed_event_returns_value():
     env = Environment()
 
@@ -295,18 +215,6 @@ def test_run_until_already_processed_event_returns_value():
     assert env.run(until=proc) == "done"
 
 
-def test_process_is_alive_lifecycle():
-    env = Environment()
-
-    def worker(env):
-        yield env.timeout(1.0)
-
-    proc = env.process(worker(env))
-    assert proc.is_alive
-    env.run()
-    assert not proc.is_alive
-
-
 def test_condition_failure_propagates():
     env = Environment()
     failures = []
@@ -317,7 +225,7 @@ def test_condition_failure_propagates():
 
     def waiter(env, events):
         try:
-            yield AllOf(env, events)
+            yield AnyOf(env, events)
         except RuntimeError as exc:
             failures.append(str(exc))
 
@@ -328,17 +236,17 @@ def test_condition_failure_propagates():
     assert failures == ["bad"]
 
 
-def test_empty_allof_triggers_immediately():
+def test_empty_anyof_triggers_immediately():
     env = Environment()
     hit = []
 
     def waiter(env):
-        yield AllOf(env, [])
-        hit.append(env.now)
+        value = yield AnyOf(env, [])
+        hit.append((env.now, value))
 
     env.process(waiter(env))
     env.run()
-    assert hit == [0.0]
+    assert hit == [(0.0, {})]
 
 
 def test_event_repr_and_pending_value_access():

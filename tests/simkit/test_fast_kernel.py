@@ -5,9 +5,8 @@ Covers the invariants the fast-kernel overhaul must preserve:
 * the zero-delay FIFO lanes merge with the time heap in exact
   ``(time, priority, eid)`` order (bit-identical to an all-heap schedule),
 * processed value-less timeouts are recycled through the freelist, and
-  everything that may legitimately re-inspect a timeout (conditions,
+  everything that may legitimately re-inspect a timeout (``AnyOf``,
   ``run(until=...)``, value-carrying timeouts) is pinned out of it,
-* ``Event.trigger`` validates both endpoints of the chain,
 * the single-callback slot upgrades to a list transparently.
 """
 
@@ -15,8 +14,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.simkit import AllOf, AnyOf, Environment, SchedulingError
-from repro.simkit.core import Event, Timeout, _TIMEOUT_FREELIST_MAX
+from repro.simkit import AnyOf, Environment, SchedulingError
+from repro.simkit.core import _TIMEOUT_FREELIST_MAX
 
 
 # ---------------------------------------------------------------------------
@@ -50,8 +49,8 @@ def test_lane_event_runs_after_older_heap_event_at_same_time():
 
 
 def test_urgent_lane_beats_older_normal_lane_entries():
-    """Urgent zero-delay events (process starts, interrupts) run before
-    normal zero-delay events queued earlier at the same instant."""
+    """Urgent zero-delay events (process starts) run before normal
+    zero-delay events queued earlier at the same instant."""
     env = Environment()
     order = []
 
@@ -89,25 +88,15 @@ def test_zero_delay_events_preserve_fifo_order():
     assert order == list(range(8))
 
 
-def test_peek_sees_lane_entries_at_current_time():
-    env = Environment(initial_time=3.0)
-    env.timeout(5.0)
-    assert env.peek() == 8.0
-    env.event().succeed()  # zero-delay lane entry at t=3.0
-    assert env.peek() == 3.0
-
-
-def test_step_drains_lanes_and_heap_in_key_order():
+def test_run_drains_lanes_and_heap_in_key_order():
     env = Environment()
-    t = env.timeout(0.5)
-    zero = env.timeout(0)
-    # Manual stepping: the zero-delay lane entry precedes the heap entry.
-    env.step()
-    assert zero.processed and not t.processed
-    env.step()
-    assert t.processed
-    with pytest.raises(IndexError):
-        env.step()
+    order = []
+    # The heap entry is older (smaller eid) but due later, so the
+    # zero-delay lane entry drains first.
+    env.timeout(0.5).add_callback(lambda event: order.append(("heap", env.now)))
+    env.timeout(0).add_callback(lambda event: order.append(("lane", env.now)))
+    env.run()
+    assert order == [("lane", 0.0), ("heap", 0.5)]
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +136,7 @@ def test_recycled_timeout_resumes_a_fresh_waiter():
 def test_condition_watched_timeout_is_pinned():
     env = Environment()
     t1 = env.timeout(1.0)
-    AllOf(env, [t1])
+    AnyOf(env, [t1])
     env.run()
     assert env.timeout(1.0) is not t1
     # The condition may read the child's value long after processing.
@@ -197,99 +186,30 @@ def test_negative_delay_still_rejected_with_warm_freelist():
 
 
 # ---------------------------------------------------------------------------
-# Event.trigger validation
-# ---------------------------------------------------------------------------
-
-def test_trigger_requires_triggered_source():
-    env = Environment()
-    source = env.event()
-    target = env.event()
-    with pytest.raises(SchedulingError, match="not been triggered"):
-        target.trigger(source)
-    assert not target.triggered
-
-
-def test_trigger_rejects_already_triggered_target():
-    env = Environment()
-    source = env.event().succeed("x")
-    target = env.event().succeed("y")
-    with pytest.raises(SchedulingError, match="already been triggered"):
-        target.trigger(source)
-    assert target.value == "y"
-
-
-def test_trigger_chains_success_state():
-    env = Environment()
-    source = env.event().succeed(41)
-    target = env.event()
-    target.trigger(source)
-    env.run()
-    assert target.ok and target.value == 41
-
-
-def test_trigger_chains_failure_state():
-    env = Environment()
-    source = env.event()
-    source.fail(ValueError("boom"))
-    source.defuse()
-    target = env.event()
-    target.trigger(source)
-    target.defuse()
-    env.run()
-    assert not target.ok and isinstance(target.value, ValueError)
-
-
-# ---------------------------------------------------------------------------
 # Single-callback slot
 # ---------------------------------------------------------------------------
 
-def test_callbacks_property_upgrades_scalar_slot():
+def test_add_callback_upgrades_scalar_slot():
     env = Environment()
     event = env.event()
     seen = []
+    # The first callback takes the scalar slot, the second upgrades it to
+    # a list; registration order holds.
     event.add_callback(lambda e: seen.append("a"))
-    # Property access materialises the list view; registration order holds.
-    event.callbacks.append(lambda e: seen.append("b"))
+    event.add_callback(lambda e: seen.append("b"))
     event.add_callback(lambda e: seen.append("c"))
     event.succeed()
     env.run()
     assert seen == ["a", "b", "c"]
 
 
-def test_callbacks_property_is_none_once_processed():
+def test_add_callback_on_processed_event_raises():
     env = Environment()
     event = env.event().succeed()
     env.run()
     assert event.processed
-    assert event.callbacks is None
     with pytest.raises(SchedulingError):
         event.add_callback(lambda e: None)
-
-
-def test_remove_callback_on_scalar_and_list_slots():
-    env = Environment()
-    seen = []
-
-    def cb_a(event):
-        seen.append("a")
-
-    def cb_b(event):
-        seen.append("b")
-
-    scalar = env.event()
-    scalar.add_callback(cb_a)
-    scalar.remove_callback(cb_a)
-    scalar.succeed()
-
-    upgraded = env.event()
-    upgraded.add_callback(cb_a)
-    upgraded.add_callback(cb_b)
-    upgraded.remove_callback(cb_a)
-    upgraded.remove_callback(cb_a)  # no-op
-    upgraded.succeed()
-
-    env.run()
-    assert seen == ["b"]
 
 
 def test_multiple_waiters_on_one_event_all_resume():

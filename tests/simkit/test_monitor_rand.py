@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from repro.simkit import (BatchedUniform, Counter, Monitor, RandomStreams,
-                          TimeSeries, derive_seed)
+                          derive_seed)
 
 
 # ---------------------------------------------------------------------------
-# Counter / TimeSeries / Monitor
+# Counter / Monitor
 # ---------------------------------------------------------------------------
 
 def test_counter_increments_and_rejects_negative():
@@ -24,87 +24,12 @@ def test_counter_increments_and_rejects_negative():
         counter.increment(-1)
 
 
-def test_counter_merge():
-    a = Counter("msgs", 2)
-    b = Counter("msgs", 5)
-    a.merge(b)
-    assert a.value == 7
-
-
-def test_timeseries_statistics():
-    ts = TimeSeries("rtt")
-    for i, value in enumerate([1.0, 2.0, 3.0, 4.0]):
-        ts.record(i, value)
-    assert ts.mean() == pytest.approx(2.5)
-    assert ts.median() == pytest.approx(2.5)
-    assert ts.minimum() == 1.0
-    assert ts.maximum() == 4.0
-    assert len(ts) == 4
-    assert ts.percentile(50) == pytest.approx(2.5)
-
-
-def test_timeseries_empty_statistics_are_nan():
-    ts = TimeSeries("rtt")
-    assert np.isnan(ts.mean())
-    assert np.isnan(ts.median())
-    assert np.isnan(ts.minimum())
-    assert np.isnan(ts.maximum())
-
-
-def test_timeseries_cdf_monotone():
-    ts = TimeSeries("rtt")
-    rng = np.random.default_rng(0)
-    for i, value in enumerate(rng.exponential(1.0, size=500)):
-        ts.record(i, value)
-    xs, ps = ts.cdf(points=50)
-    assert len(xs) == 50
-    assert np.all(np.diff(xs) >= 0)
-    assert np.all(np.diff(ps) >= 0)
-    assert ps[-1] == pytest.approx(1.0)
-
-
-def test_timeseries_cdf_empty():
-    ts = TimeSeries("rtt")
-    xs, ps = ts.cdf()
-    assert xs.size == 0 and ps.size == 0
-
-
-def test_timeseries_merge():
-    a = TimeSeries("rtt")
-    b = TimeSeries("rtt")
-    a.record(0, 1.0)
-    b.record(1, 3.0)
-    a.merge(b)
-    assert a.mean() == pytest.approx(2.0)
-
-
 def test_monitor_creates_and_reuses_instruments():
     mon = Monitor("consumer-0")
     mon.count("received")
     mon.count("received", 2)
-    mon.record("rtt", 1.0, 0.02)
     assert mon.counter("received").value == 3
     assert mon.counters["received"] is mon.counter("received")
-    assert len(mon.timeseries("rtt")) == 1
-
-
-def test_monitor_merge_aggregates_all_children():
-    a = Monitor("agg")
-    b = Monitor("consumer-1")
-    b.count("received", 10)
-    b.record("rtt", 0.0, 1.0)
-    a.merge(b)
-    assert a.counter("received").value == 10
-    assert len(a.timeseries("rtt")) == 1
-
-
-def test_monitor_snapshot_shape():
-    mon = Monitor("x")
-    mon.count("received", 2)
-    mon.record("rtt", 0.0, 0.5)
-    snap = mon.snapshot()
-    assert snap["counters"]["received"] == 2
-    assert snap["series"]["rtt"]["count"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +58,6 @@ def test_streams_are_independent_per_component():
 def test_stream_is_cached():
     streams = RandomStreams(7)
     assert streams.stream("x") is streams.stream("x")
-
-
-def test_spawn_creates_independent_child_root():
-    parent = RandomStreams(3)
-    child = parent.spawn("run", 1)
-    assert isinstance(child, RandomStreams)
-    assert child.root_seed != parent.root_seed
 
 
 def test_helper_draws_within_bounds():

@@ -5,14 +5,14 @@ Invariants checked:
 * simulated time never runs backwards, regardless of the schedule,
 * a FIFO resource never exceeds its capacity and serves every requester,
 * stores conserve items (everything put is eventually got, in order),
-* condition events (AllOf) trigger exactly at the maximum child time.
+* ``AnyOf`` triggers exactly at the minimum child time.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.simkit import AllOf, Environment, Resource, Store
+from repro.simkit import AnyOf, Environment, Resource, Store
 
 #: Keep the per-example simulations small so the suite stays fast.
 _settings = settings(max_examples=40, deadline=None)
@@ -42,17 +42,17 @@ def test_time_is_monotonic_under_arbitrary_timeouts(delays):
 
 @_settings
 @given(delays=delays)
-def test_allof_triggers_at_latest_child(delays):
+def test_anyof_triggers_at_earliest_child(delays):
     env = Environment()
     finish = []
 
     def waiter(env):
-        yield AllOf(env, [env.timeout(d) for d in delays])
+        yield AnyOf(env, [env.timeout(d) for d in delays])
         finish.append(env.now)
 
     env.process(waiter(env))
     env.run()
-    assert finish == [max(delays)]
+    assert finish == [min(delays)]
 
 
 @_settings
